@@ -1,21 +1,31 @@
 //! Verifies that the sampling subsystem preserves the simulator's
-//! zero-allocation steady state *inside measure intervals*.
+//! zero-allocation steady state *inside measure intervals* and in the
+//! warming fast-forward *between* them.
 //!
-//! Method: two sampled runs over the same program with the same window
-//! count and sampling period, differing only in measure-interval length
-//! (4x). Per-run setup (engine structures, per-window simulator
-//! construction, checkpoint buffers) is identical between them; if the
-//! detailed measure loop allocated per cycle or per instruction, the
-//! long-interval run would show thousands of extra allocations.
+//! Method: pairs of sampled runs over the same program with the same window
+//! count, differing in one length only — the measure interval (4x), or the
+//! functional gap between windows (4x). Per-run setup (engine structures,
+//! per-window simulator construction, checkpoint buffers) is identical
+//! within a pair; if the detailed measure loop or the fast-forward
+//! allocated per cycle or per instruction, the longer run would show
+//! thousands of extra allocations.
 
 use reno_alloctrack::{allocations, CountingAlloc};
 use reno_core::RenoConfig;
 use reno_isa::{Asm, Program, Reg};
-use reno_sample::{run_sampled, SampleConfig};
+use reno_sample::{run_sampled, SampleConfig, SampledResult};
 use reno_sim::MachineConfig;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The allocation counter is process-wide, so the tests take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The steady-state instruction diet: ALU chains, loads, stores,
 /// forwarding, branches.
@@ -39,18 +49,24 @@ fn kernel(iters: i64) -> Program {
     a.assemble().unwrap()
 }
 
-fn allocs_during(p: &Program, sc: &SampleConfig) -> u64 {
+fn sampled_allocs(p: &Program, sc: &SampleConfig) -> (u64, SampledResult) {
     let cfg = MachineConfig::four_wide(RenoConfig::reno());
     let before = allocations();
     let r = run_sampled(p, cfg, sc);
     let after = allocations();
+    (after - before, r)
+}
+
+fn allocs_during(p: &Program, sc: &SampleConfig) -> u64 {
+    let (n, r) = sampled_allocs(p, sc);
     assert!(r.halted);
     assert!(!r.intervals.is_empty(), "the runs must actually measure");
-    after - before
+    n
 }
 
 #[test]
 fn measure_intervals_do_not_allocate() {
+    let _turn = serial();
     // ~440k dynamic instructions; same period and window count, intervals
     // 4x longer in the second run. Both interval lengths exceed the
     // per-window warm-up horizon (every freshly-built scheduler structure —
@@ -71,5 +87,41 @@ fn measure_intervals_do_not_allocate() {
         a_long.saturating_sub(a_short) <= 512,
         "allocations grew with measure-interval length: \
          short-interval run {a_short}, long-interval run {a_long}"
+    );
+}
+
+#[test]
+fn fast_forward_gaps_do_not_allocate() {
+    let _turn = serial();
+    // The same 16 windows in both runs — same count and lengths, and the
+    // same place in the 8-instruction loop body (jitter off, periods a
+    // multiple of the loop) — with the functional gaps between them 4x
+    // longer in the second run. The instruction cap fixes the stratum grid
+    // at 16 strata, and both periods give the same segmentation (two
+    // 8-stratum segments). A fast-forward that allocated per instruction
+    // or per block would grow with the ~3M extra instructions it covers;
+    // the runs must allocate exactly the same amount. One worker,
+    // so that which thread runs which segment (and so which thread-local
+    // state each one initializes) cannot differ between the runs.
+    std::env::set_var("RENO_THREADS", "1");
+    let p = kernel(1 << 40);
+    let run = |period: u64| {
+        let sc = SampleConfig::new(512, 2048, period)
+            .with_head(4096)
+            .without_jitter()
+            .with_max_insts(4096 + 16 * period);
+        let (n, r) = sampled_allocs(&p, &sc);
+        assert!(r.error.is_none() && r.segment_faults.is_empty());
+        assert_eq!(r.intervals.len(), 16, "every stratum measures one window");
+        n
+    };
+    // A first run pays one-time lazy initialization; measure after it.
+    run(1 << 16);
+    let short_gaps = run(1 << 16);
+    let long_gaps = run(1 << 18);
+    std::env::remove_var("RENO_THREADS");
+    assert_eq!(
+        short_gaps, long_gaps,
+        "allocations grew with the fast-forward gap: {short_gaps} vs {long_gaps}"
     );
 }

@@ -12,24 +12,23 @@
 //! floor (see `reno_bench::report` for the pairing and noise rules).
 //! `RENO_BENCH_PATH` overrides the trajectory file location.
 
-use reno_bench::report::{check, render, validate};
+use reno_bench::report::{bench_path, check, render, validate};
 
 fn main() {
     let check_mode = std::env::args().any(|a| a == "--check");
-    let path = std::env::var("RENO_BENCH_PATH").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json").to_string()
-    });
+    let path = bench_path();
+    let shown = path.display();
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("bench_report: cannot read {path}: {e}");
+            eprintln!("bench_report: cannot read {shown}: {e}");
             std::process::exit(1);
         }
     };
     let entries = match validate(&text) {
         Ok(entries) => entries,
         Err(e) => {
-            eprintln!("bench_report: {path} is malformed: {e}");
+            eprintln!("bench_report: {shown} is malformed: {e}");
             std::process::exit(1);
         }
     };

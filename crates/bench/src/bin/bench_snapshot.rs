@@ -2,8 +2,9 @@
 //!
 //! Measures *simulated cycles per host second* for the baseline, CF+ME and
 //! full-RENO configurations over one SPEC-like and one media-like kernel,
-//! and appends one labelled entry to the repo-root `BENCH_sim.json` so the
-//! perf trajectory across PRs is recorded in-tree. Each entry also records
+//! and appends one labelled entry to the repo-root `BENCH_sim.json` (or to
+//! the file `RENO_BENCH_PATH` names, the one `bench_report` then reads) so
+//! the perf trajectory across PRs is recorded in-tree. Each entry also records
 //! its run metadata — workload scale, worker-thread setting, the host's
 //! core count, whether the measurement ran the full detailed simulator or
 //! the `reno-sample` sampled pipeline, the rustc version, the git revision,
@@ -42,6 +43,7 @@
 //! The label defaults to `snapshot`. Entries are stored one per line so that
 //! appends never need a JSON parser; the file as a whole stays valid JSON.
 
+use reno_bench::report::bench_path;
 use reno_bench::{run, thread_count, FUEL};
 use reno_core::RenoConfig;
 use reno_func::{Cpu, DecodedProgram};
@@ -223,9 +225,9 @@ fn main() {
 
     // `BENCH_sim.json` keeps one entry object per line between the header
     // and footer lines, so appending is a text operation.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
+    let path = bench_path();
     let mut entries: Vec<String> = Vec::new();
-    if let Ok(old) = std::fs::read_to_string(path) {
+    if let Ok(old) = std::fs::read_to_string(&path) {
         entries.extend(
             old.lines()
                 .map(str::trim_end)
@@ -242,6 +244,7 @@ fn main() {
         let _ = writeln!(out, "{e}{sep}");
     }
     out.push_str("]}\n");
-    std::fs::write(path, &out).expect("write BENCH_sim.json");
-    println!("recorded entry '{label}' in BENCH_sim.json");
+    let shown = path.display();
+    std::fs::write(&path, &out).unwrap_or_else(|e| panic!("write {shown}: {e}"));
+    println!("recorded entry '{label}' in {shown}");
 }

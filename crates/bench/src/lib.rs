@@ -51,13 +51,30 @@ pub const FUEL: u64 = 400_000;
 /// Cycle cap per simulation (safety net only).
 pub const MAX_CYCLES: u64 = 1 << 28;
 
-/// Reads the workload scale from `RENO_SCALE` (default `default`).
+/// Reads the workload scale from `RENO_SCALE` (unset: `default`).
+///
+/// # Panics
+///
+/// Panics, naming the valid values, when `RENO_SCALE` is set to anything
+/// else: a typo must not silently run the big, slow default scale.
 pub fn scale_from_env() -> Scale {
-    match std::env::var("RENO_SCALE").as_deref() {
-        Ok("tiny") => Scale::Tiny,
-        Ok("small") => Scale::Small,
-        Ok("large") => Scale::Large,
-        _ => Scale::Default,
+    let v = std::env::var_os("RENO_SCALE").map(|v| v.to_string_lossy().into_owned());
+    parse_scale(v.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Parses a `RENO_SCALE` value; `None` (unset or empty) means
+/// [`Scale::Default`], any other spelling is an error listing the valid
+/// values.
+fn parse_scale(v: Option<&str>) -> Result<Scale, String> {
+    match v.map(str::trim) {
+        None | Some("" | "default") => Ok(Scale::Default),
+        Some("tiny") => Ok(Scale::Tiny),
+        Some("small") => Ok(Scale::Small),
+        Some("large") => Ok(Scale::Large),
+        Some(other) => Err(format!(
+            "RENO_SCALE={other:?} is not a workload scale; valid values: tiny, small, \
+             default, large (unset means default)"
+        )),
     }
 }
 
@@ -174,6 +191,25 @@ mod tests {
         let seq: Vec<u64> = items.iter().map(|x| x * x).collect();
         let par = par_map(&items, |x| x * x);
         assert_eq!(seq, par);
+    }
+
+    #[test]
+    fn malformed_scales_are_rejected_loudly() {
+        assert_eq!(parse_scale(None), Ok(Scale::Default));
+        assert_eq!(parse_scale(Some("default")), Ok(Scale::Default));
+        assert_eq!(parse_scale(Some("tiny")), Ok(Scale::Tiny));
+        assert_eq!(parse_scale(Some("small")), Ok(Scale::Small));
+        assert_eq!(parse_scale(Some("large")), Ok(Scale::Large));
+        for bad in ["smal", "Tiny", "defualt"] {
+            let e = parse_scale(Some(bad)).unwrap_err();
+            assert!(
+                e.contains(&format!("{bad:?}"))
+                    && ["tiny", "small", "default", "large"]
+                        .iter()
+                        .all(|ok| e.contains(ok)),
+                "{e}"
+            );
+        }
     }
 
     #[test]

@@ -22,10 +22,31 @@
 //! deltas are not evidence.
 
 use std::collections::HashSet;
+use std::ffi::OsString;
 use std::fmt::Write as _;
+use std::path::PathBuf;
 
 /// The three simulated machine configurations every entry records.
 pub const CONFIGS: [&str; 3] = ["baseline", "cf_me", "reno"];
+
+/// The committed trajectory file at the repository root.
+const DEFAULT_BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
+
+/// The trajectory file `bench_snapshot` writes and `bench_report` reads:
+/// `RENO_BENCH_PATH` when set, otherwise the committed `BENCH_sim.json` at
+/// the repository root.
+pub fn bench_path() -> PathBuf {
+    bench_path_from(std::env::var_os("RENO_BENCH_PATH"))
+}
+
+/// [`bench_path`] for a given `RENO_BENCH_PATH` value (`None` or empty:
+/// unset).
+fn bench_path_from(v: Option<OsString>) -> PathBuf {
+    match v {
+        Some(p) if !p.is_empty() => PathBuf::from(p),
+        _ => PathBuf::from(DEFAULT_BENCH_PATH),
+    }
+}
 
 /// Extra slack under the measured noise before a drop counts as a
 /// regression (relative, i.e. `0.02` = two percentage points).
@@ -456,6 +477,15 @@ mod tests {
              \"reno_cycles_per_sec\":{},\"reno_cycles_per_sec_best\":{}}}",
             medians[0], bests[0], medians[1], bests[1], medians[2], bests[2]
         )
+    }
+
+    #[test]
+    fn bench_path_follows_reno_bench_path() {
+        let set = |v: &str| bench_path_from(Some(v.into()));
+        assert_eq!(set("/tmp/traj.json"), PathBuf::from("/tmp/traj.json"));
+        assert_eq!(bench_path_from(None), PathBuf::from(DEFAULT_BENCH_PATH));
+        assert_eq!(set(""), PathBuf::from(DEFAULT_BENCH_PATH));
+        assert!(DEFAULT_BENCH_PATH.ends_with("/BENCH_sim.json"));
     }
 
     fn file_of(entries: &[String]) -> String {

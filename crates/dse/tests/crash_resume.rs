@@ -8,6 +8,18 @@ use reno_dse::{parse_spec, run_sweep, Store, SweepOptions, SweepSpec, TIMEOUT_ME
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The tests take turns. The watchdog tests hold healthy cells to a
+/// wall-clock deadline, which only means "the cell is wedged" while no
+/// sibling test (the kill loops spawn `dse` processes back to back) is
+/// competing for the same cores.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed assertion in one test must not wedge the rest of the suite.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 const SPEC: &str = "\
 sweep crash-test
@@ -41,6 +53,7 @@ fn quietly<R>(f: impl FnOnce() -> R) -> R {
 
 #[test]
 fn second_run_is_fully_cached_and_byte_identical() {
+    let _turn = serial();
     let dir = tmp_dir("cached");
     let store = Store::open(&dir).unwrap();
     let first = run_sweep(&spec(), &store, &SweepOptions::default()).unwrap();
@@ -56,6 +69,7 @@ fn second_run_is_fully_cached_and_byte_identical() {
 
 #[test]
 fn hand_corrupted_entries_are_quarantined_and_recomputed() {
+    let _turn = serial();
     let dir = tmp_dir("corrupt");
     let store = Store::open(&dir).unwrap();
     let first = run_sweep(&spec(), &store, &SweepOptions::default()).unwrap();
@@ -100,6 +114,7 @@ fn hand_corrupted_entries_are_quarantined_and_recomputed() {
 
 #[test]
 fn panicking_cell_is_quarantined_after_one_retry_and_sweep_completes() {
+    let _turn = serial();
     let dir = tmp_dir("panic");
     let store = Store::open(&dir).unwrap();
     let opts = SweepOptions {
@@ -133,6 +148,7 @@ fn panicking_cell_is_quarantined_after_one_retry_and_sweep_completes() {
 
 #[test]
 fn first_attempt_panic_succeeds_on_retry() {
+    let _turn = serial();
     let dir = tmp_dir("retry");
     let store = Store::open(&dir).unwrap();
     let opts = SweepOptions {
@@ -155,6 +171,7 @@ fn first_attempt_panic_succeeds_on_retry() {
 
 #[test]
 fn sampled_mode_reuses_one_pass_across_configs_and_runs() {
+    let _turn = serial();
     let dir = tmp_dir("sampled");
     let store = Store::open(&dir).unwrap();
     let spec = parse_spec(
@@ -203,6 +220,7 @@ fn sampled_mode_reuses_one_pass_across_configs_and_runs() {
 
 #[test]
 fn wedged_cell_times_out_is_retried_and_reported_failed() {
+    let _turn = serial();
     let dir = tmp_dir("wedge");
     let store = Store::open(&dir).unwrap();
     let opts = SweepOptions {
@@ -237,6 +255,7 @@ fn wedged_cell_times_out_is_retried_and_reported_failed() {
 
 #[test]
 fn first_attempt_stall_is_rescued_by_retry() {
+    let _turn = serial();
     let dir = tmp_dir("wedge-retry");
     let store = Store::open(&dir).unwrap();
     let opts = SweepOptions {
@@ -327,6 +346,7 @@ fn stderr_stat(stderr: &str, key: &str) -> u64 {
 
 #[test]
 fn killed_mid_write_resumes_byte_identical_at_every_io_point() {
+    let _turn = serial();
     let dir = tmp_dir("kill");
     fs::create_dir_all(&dir).unwrap();
     let spec_path = dir.join("spec.txt");
@@ -410,6 +430,7 @@ fn count_bins(store: &Path) -> (usize, usize) {
 
 #[test]
 fn gc_killed_at_every_io_point_loses_no_live_object() {
+    let _turn = serial();
     let dir = tmp_dir("gc-kill");
     fs::create_dir_all(&dir).unwrap();
     let spec_a = dir.join("spec-a.txt");

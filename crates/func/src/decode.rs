@@ -26,19 +26,24 @@
 //! rebuilt on next entry. [`DecodedProgram::invalidations`] counts these
 //! events for tests.
 //!
-//! Three entry points on [`Cpu`]:
+//! Four entry points on [`Cpu`]:
 //!
 //! * [`Cpu::run_decoded`] — fueled run to `halt`, mirroring
 //!   [`Cpu::run_program`];
 //! * [`Cpu::advance_decoded`] — run to an exact dynamic-instruction
 //!   boundary (block-at-a-time until the final partial block, which steps
 //!   per-instruction so the cut lands exactly);
+//! * [`Cpu::advance_observed`] — run to an exact boundary block-at-a-time
+//!   while reporting to an [`ExecObserver`]: straight-line runs as
+//!   `(first_pc, n)`, loads, stores and control instructions as
+//!   [`crate::DynInst`] records (the sampling engine's warming
+//!   fast-forward);
 //! * [`Cpu::step_decoded`] — per-instruction stepping over predecoded
 //!   templates, yielding the same [`crate::DynInst`] records as
 //!   [`Cpu::step`] (the [`crate::Oracle`] feeds the timing simulator
 //!   through this path).
 //!
-//! All three are bit-identical to the [`Cpu::step`] reference semantics; a
+//! All four are bit-identical to the [`Cpu::step`] reference semantics; a
 //! differential property suite (`tests/decoded_differential.rs`) pins
 //! digests, checksums, mixes, and per-record `DynInst` streams against the
 //! per-instruction engine, across self-modifying-write invalidations.
@@ -76,6 +81,9 @@ struct DInst {
     /// [`DynInst`], so rename switches on a precomputed class instead of
     /// re-deriving the instruction's shape per dynamic instance.
     rclass: RenameClass,
+    /// Load, store or control: reported to an [`ExecObserver`] as its own
+    /// [`DynInst`] record rather than folded into a straight-line run.
+    observed: bool,
 }
 
 /// A straight-line run of predecoded instructions ending at a control
@@ -109,6 +117,7 @@ fn decode_one(program: &Program, pc: usize) -> DInst {
         target,
         inst,
         rclass: RenameClass::of(&inst),
+        observed: op.is_load() || op.is_store() || op.is_control(),
     }
 }
 
@@ -245,8 +254,21 @@ impl<'p> DecodedProgram<'p> {
     }
 }
 
-/// Cursor for [`Cpu::step_decoded`]: remembers the position inside the
-/// current block so consecutive steps skip the block lookup.
+/// Receives a block-granular account of what [`Cpu::advance_observed`]
+/// executes, in program order: every instruction is reported exactly once,
+/// either inside a straight-line run or as its own record.
+pub trait ExecObserver {
+    /// `n >= 1` consecutive instructions at pcs `first_pc..first_pc + n`,
+    /// none of which is a load, store or control instruction.
+    fn run(&mut self, first_pc: usize, n: u64);
+    /// One load, store or control instruction, with the same record
+    /// [`Cpu::step`] would have produced for it.
+    fn inst(&mut self, d: &DynInst);
+}
+
+/// Cursor for [`Cpu::step_decoded`] and [`Cpu::advance_observed`]:
+/// remembers the position inside the current block so consecutive steps
+/// skip the block lookup.
 #[derive(Clone, Copy, Debug)]
 pub struct BlockCursor {
     bi: u32,
@@ -438,6 +460,84 @@ impl Cpu {
                         }
                     }
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// Functionally advances to dynamic-instruction boundary `until` (or
+    /// `halt`) block-at-a-time, like [`Cpu::advance_decoded`], while
+    /// reporting every executed instruction to `obs` (see
+    /// [`ExecObserver`]). The cut is exact: a block that straddles `until`
+    /// runs only its prefix, and `cur` remembers the position so the next
+    /// call resumes mid-block without building a suffix block. Machine
+    /// state, and the records expanded from the reported runs, are
+    /// bit-identical to a [`Cpu::step_decoded`] loop.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::PcOutOfRange`] if the pc walks off the program; every
+    /// instruction executed before that has been reported.
+    pub fn advance_observed<O: ExecObserver>(
+        &mut self,
+        dp: &mut DecodedProgram<'_>,
+        cur: &mut BlockCursor,
+        until: u64,
+        obs: &mut O,
+    ) -> Result<(), ExecError> {
+        while !self.halted && self.executed < until {
+            if cur.bi == NO_BLOCK || cur.epoch != dp.invalidations {
+                cur.bi = dp.block_index(self.pc)?;
+                cur.idx = 0;
+                cur.epoch = dp.invalidations;
+            }
+            let start = cur.idx as usize;
+            let blk = dp.block(cur.bi);
+            debug_assert_eq!(self.pc, blk.entry as usize + start);
+            let len = blk.insts.len();
+            let n = (len - start).min(usize::try_from(until - self.executed).unwrap_or(usize::MAX));
+            let mut smc: Option<(u64, u64)> = None;
+            let mut run_pc = self.pc;
+            let mut run_n = 0u64;
+            let mut done = 0usize;
+            for d in &blk.insts[start..start + n] {
+                let rec = self.exec_dinst(d);
+                done += 1;
+                if !d.observed {
+                    run_n += 1;
+                    continue;
+                }
+                if run_n > 0 {
+                    obs.run(run_pc, run_n);
+                    run_n = 0;
+                }
+                obs.inst(&rec);
+                run_pc = self.pc;
+                if d.op.is_store() && dp.store_hits_text(rec.mem_addr, u64::from(d.width)) {
+                    // Cut after the offending store, exactly where the
+                    // per-instruction path would invalidate.
+                    smc = Some((rec.mem_addr, u64::from(d.width)));
+                    break;
+                }
+            }
+            if run_n > 0 {
+                obs.run(run_pc, run_n);
+            }
+            if start == 0 && done == len {
+                self.mix.merge(&blk.mix);
+            } else {
+                for d in &blk.insts[start..start + done] {
+                    self.mix.record(&d.inst);
+                }
+            }
+            if let Some((addr, w)) = smc {
+                dp.invalidate_store(addr, w);
+                cur.bi = NO_BLOCK;
+            } else if start + done == len {
+                // The terminator (taken or not) always ends the block.
+                cur.bi = NO_BLOCK;
+            } else {
+                cur.idx += done as u32;
             }
         }
         Ok(())

@@ -1,13 +1,14 @@
 //! Differential property suite for the predecoded basic-block engine: the
-//! block executor (`Cpu::run_decoded` / `Cpu::advance_decoded`) and the
-//! decoded per-instruction stepper (`Cpu::step_decoded`) must be
-//! **bit-identical** to the `Cpu::step` reference semantics — same
-//! executed counts, digests, checksums, instruction mixes, and (for the
-//! stepper) the same `DynInst` record stream — including across
-//! self-modifying-write invalidations of the block cache.
+//! block executor (`Cpu::run_decoded` / `Cpu::advance_decoded`), the
+//! observed block executor (`Cpu::advance_observed`) and the decoded
+//! per-instruction stepper (`Cpu::step_decoded`) must be **bit-identical**
+//! to the `Cpu::step` reference semantics — same executed counts, digests,
+//! checksums, instruction mixes, and (for the stepper and the observer)
+//! the same `DynInst` record stream — including across self-modifying-write
+//! invalidations of the block cache.
 
 use proptest::prelude::*;
-use reno_func::{BlockCursor, Cpu, DecodedProgram, DynInst, Oracle};
+use reno_func::{BlockCursor, Cpu, DecodedProgram, DynInst, ExecError, ExecObserver, Oracle};
 use reno_isa::{Asm, Inst, Opcode, Program, Reg, RenameClass, TEXT_BASE};
 
 /// A random-but-terminating program from a byte recipe: ALU chains, folds,
@@ -15,6 +16,13 @@ use reno_isa::{Asm, Inst, Opcode, Program, Reg, RenameClass, TEXT_BASE};
 /// — and, when `smc` is set, stores aimed into the text address range so
 /// the block cache's invalidation path fires mid-run.
 fn gen_program(body: &[u8], iters: u8, smc: bool) -> Program {
+    gen_program_ending(body, iters, smc, false)
+}
+
+/// [`gen_program`], optionally without its closing `halt`, so the pc walks
+/// off the end of the program and execution ends in
+/// [`ExecError::PcOutOfRange`].
+fn gen_program_ending(body: &[u8], iters: u8, smc: bool, walk_off: bool) -> Program {
     let mut a = Asm::named("decoded");
     let buf = a.zeros("buf", 512);
     a.li(Reg::S0, buf as i64);
@@ -78,8 +86,51 @@ fn gen_program(body: &[u8], iters: u8, smc: bool) -> Program {
     a.addi(Reg::T0, Reg::T0, -1);
     a.bnez(Reg::T0, "loop");
     a.out(Reg::T1);
-    a.halt();
+    if !walk_off {
+        a.halt();
+    }
     a.assemble().expect("generated program assembles")
+}
+
+/// One executed instruction as an [`ExecObserver`] sees it: a pc inside a
+/// straight-line run, or a full record for a load, store or control
+/// instruction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Seen {
+    Plain(usize),
+    Full(DynInst),
+}
+
+impl Seen {
+    /// How a reference record must appear in the observer's stream.
+    fn of(d: DynInst) -> Seen {
+        let op = d.inst.op;
+        if op.is_load() || op.is_store() || op.is_control() {
+            Seen::Full(d)
+        } else {
+            Seen::Plain(d.pc)
+        }
+    }
+}
+
+/// Expands the observer's runs and records into one [`Seen`] per
+/// instruction.
+#[derive(Default)]
+struct Recorder {
+    seen: Vec<Seen>,
+    empty_runs: usize,
+}
+
+impl ExecObserver for Recorder {
+    fn run(&mut self, first_pc: usize, n: u64) {
+        self.empty_runs += usize::from(n == 0);
+        self.seen
+            .extend((first_pc..first_pc + n as usize).map(Seen::Plain));
+    }
+
+    fn inst(&mut self, d: &DynInst) {
+        self.seen.push(Seen::Full(*d));
+    }
 }
 
 fn assert_same_state(a: &Cpu, b: &Cpu, what: &str) {
@@ -162,6 +213,62 @@ proptest! {
         reference.run_program(&p, 1 << 20).unwrap();
         decoded.run_decoded(&mut dp, 1 << 20).unwrap();
         assert_same_state(&reference, &decoded, "after resume");
+    }
+
+    /// Observed-advance equivalence: advancing through `advance_observed` in
+    /// pieces (arbitrary cut points, one cursor carried across calls)
+    /// reports a stream that, expanded, is exactly the `step_decoded`
+    /// record stream — up to the same error when the pc walks off the
+    /// program — and ends in the same machine as `advance_decoded`.
+    #[test]
+    fn observed_advance_expands_to_the_stepper_stream(
+        body in prop::collection::vec(any::<u8>(), 1..20),
+        iters in any::<u8>(),
+        smc in any::<bool>(),
+        walk_off in any::<bool>(),
+        cuts in prop::collection::vec(any::<u16>(), 0..6),
+    ) {
+        let p = gen_program_ending(&body, iters, smc, walk_off);
+        let mut reference = Cpu::new(&p);
+        let mut dp_ref = DecodedProgram::new(&p);
+        let mut cur_ref = BlockCursor::new();
+        let mut want = Vec::new();
+        let want_err: Option<ExecError> = loop {
+            match reference.step_decoded(&mut dp_ref, &mut cur_ref) {
+                Ok(Some(d)) => want.push(Seen::of(d)),
+                Ok(None) => break None,
+                Err(e) => break Some(e),
+            }
+        };
+
+        let mut cut_points: Vec<u64> = cuts.iter().map(|&c| u64::from(c % 700)).collect();
+        cut_points.sort_unstable();
+        cut_points.push(1 << 20);
+        let mut observed = Cpu::new(&p);
+        let mut dp = DecodedProgram::new(&p);
+        let mut cur = BlockCursor::new();
+        let mut rec = Recorder::default();
+        let mut err = None;
+        for &c in &cut_points {
+            if let Err(e) = observed.advance_observed(&mut dp, &mut cur, c, &mut rec) {
+                err = Some(e);
+                break;
+            }
+            prop_assert!(
+                observed.halted() || observed.executed() == c,
+                "the cut lands exactly on {}", c
+            );
+        }
+        prop_assert_eq!(rec.empty_runs, 0, "runs are never empty");
+        prop_assert_eq!(&rec.seen, &want, "expanded stream equals step_decoded's");
+        prop_assert_eq!(&err, &want_err, "same error at the same point");
+        assert_same_state(&reference, &observed, "advance_observed vs step_decoded");
+
+        let mut block = Cpu::new(&p);
+        let mut dp_block = DecodedProgram::new(&p);
+        let block_err = block.advance_decoded(&mut dp_block, 1 << 20).err();
+        prop_assert_eq!(&block_err, &err);
+        assert_same_state(&block, &observed, "advance_observed vs advance_decoded");
     }
 
     /// Batched-feed equivalence: draining `Oracle::refill` into

@@ -98,6 +98,9 @@ pub struct Cache {
     sets: usize,
     /// `log2(line_bytes)`: address -> line number.
     line_shift: u32,
+    /// `log2(sets)`: line number -> tag (both are powers of two, so the
+    /// hot probe shifts instead of dividing).
+    set_shift: u32,
     stamp: u64,
     /// Line number of the most recently touched (hit or filled) line.
     /// Coherent by construction: every mutation of the directory goes
@@ -129,6 +132,7 @@ impl Cache {
             lines: vec![Line::default(); sets * cfg.assoc],
             sets,
             line_shift: cfg.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
             stamp: 0,
             mru_line: 0,
             mru_idx: NO_MRU,
@@ -154,12 +158,12 @@ impl Cache {
 
     #[inline]
     fn set_index(&self, addr: u64) -> usize {
-        ((addr / self.cfg.line_bytes as u64) as usize) & (self.sets - 1)
+        ((addr >> self.line_shift) as usize) & (self.sets - 1)
     }
 
     #[inline]
     fn tag(&self, addr: u64) -> u64 {
-        addr / self.cfg.line_bytes as u64 / self.sets as u64
+        addr >> self.line_shift >> self.set_shift
     }
 
     /// Probes for `addr`; on miss, fills the line (evicting LRU). Returns
@@ -174,7 +178,7 @@ impl Cache {
             self.stats.accesses += 1;
             self.stamp += 1;
             let line = &mut self.lines[self.mru_idx as usize];
-            debug_assert!(line.valid && line.tag == lnum / self.sets as u64);
+            debug_assert!(line.valid && line.tag == lnum >> self.set_shift);
             line.lru = self.stamp;
             line.dirty |= write;
             self.stats.hits += 1;
@@ -196,7 +200,7 @@ impl Cache {
         self.stamp += 1;
         let lnum = addr >> self.line_shift;
         let set = (lnum as usize) & (self.sets - 1);
-        let tag = lnum / self.sets as u64;
+        let tag = lnum >> self.set_shift;
         let base = set * self.cfg.assoc;
         let ways = &mut self.lines[base..base + self.cfg.assoc];
 

@@ -43,13 +43,33 @@ use std::time::{Duration, Instant};
 
 /// Worker threads for [`par_map`]: the `RENO_THREADS` override if set
 /// (>= 1), otherwise the host's available parallelism.
+///
+/// # Panics
+///
+/// Panics, naming the valid values, when `RENO_THREADS` is set to anything
+/// but a whole number: a typo must not silently fan out over every core.
 pub fn thread_count() -> usize {
-    if let Ok(v) = std::env::var("RENO_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
-        }
+    let v = std::env::var_os("RENO_THREADS").map(|v| v.to_string_lossy().into_owned());
+    match parse_threads(v.as_deref()) {
+        Ok(Some(n)) => n,
+        Ok(None) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        Err(e) => panic!("{e}"),
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Parses a `RENO_THREADS` value: `None` (unset or empty) means "the
+/// host's available parallelism", a whole number `n` means `max(n, 1)`
+/// workers, anything else is an error listing the valid values.
+fn parse_threads(v: Option<&str>) -> Result<Option<usize>, String> {
+    match v.map(str::trim) {
+        None | Some("") => Ok(None),
+        Some(s) => s.parse::<usize>().map(|n| Some(n.max(1))).map_err(|_| {
+            format!(
+                "RENO_THREADS={s:?} is not a worker count; valid values: a whole \
+                 number (0 and 1 both mean one worker), or unset for every core"
+            )
+        }),
+    }
 }
 
 /// A captured job panic: the payload of a panic that occurred inside one
@@ -371,6 +391,23 @@ mod tests {
     #[test]
     fn thread_count_is_at_least_one() {
         assert!(thread_count() >= 1);
+    }
+
+    #[test]
+    fn malformed_thread_counts_are_rejected_loudly() {
+        assert_eq!(parse_threads(None), Ok(None));
+        assert_eq!(parse_threads(Some("")), Ok(None));
+        assert_eq!(parse_threads(Some("2")), Ok(Some(2)));
+        assert_eq!(parse_threads(Some("0")), Ok(Some(1)));
+        for bad in ["two", "2x", "-1", "1.5"] {
+            let e = parse_threads(Some(bad)).unwrap_err();
+            assert!(
+                e.contains(&format!("{bad:?}"))
+                    && e.contains("whole number")
+                    && e.contains("unset"),
+                "{e}"
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 use crate::{ExactSegment, FaultRecovery, IntervalStat, SampleError, SampledResult, SegmentFault};
-use reno_func::{BlockCursor, Checkpoint, Cpu, DecodedProgram, DynInst, ExecError, Memory};
+use reno_func::{
+    BlockCursor, Checkpoint, Cpu, DecodedProgram, DynInst, ExecError, ExecObserver, Memory,
+};
 use reno_isa::Program;
 use reno_mem::MemHierarchy;
 use reno_par::{run_caught, try_par_map, JobPanic};
-use reno_sim::{classify_control, MachineConfig, Simulator, WarmState};
+use reno_sim::{classify_control, MachineConfig, SampleMark, SimResult, Simulator, WarmState};
 use reno_trace::PipelineTrace;
 use reno_uarch::FrontEnd;
 
@@ -189,25 +191,26 @@ impl Default for SampleConfig {
     }
 }
 
-/// Feeds one functional instruction to the warming hooks, mirroring what
-/// the detailed front end and memory pipeline would have touched on the
+/// Feeds functional instructions to the warming hooks, mirroring what the
+/// detailed front end and memory pipeline would have touched on the
 /// correct path.
 struct Warmer {
-    line_bytes: u64,
+    /// `log2` of the I-cache line size (a power of two).
+    line_shift: u32,
     last_line: u64,
 }
 
 impl Warmer {
     fn new(cfg: &MachineConfig) -> Warmer {
         Warmer {
-            line_bytes: cfg.hier.l1i.line_bytes as u64,
+            line_shift: cfg.hier.l1i.line_bytes.trailing_zeros(),
             last_line: u64::MAX,
         }
     }
 
     fn observe(&mut self, d: &DynInst, warm: &mut WarmState) {
         let addr = Program::inst_addr(d.pc);
-        let line = addr / self.line_bytes;
+        let line = addr >> self.line_shift;
         if line != self.last_line {
             warm.mem.warm_inst(addr);
             self.last_line = line;
@@ -222,6 +225,23 @@ impl Warmer {
             let _ =
                 warm.frontend
                     .process(d.pc as u64, classify_control(d), d.taken, d.next_pc as u64);
+        }
+    }
+
+    /// Touches the I-lines of the `n` consecutive instructions from
+    /// `first_pc` (none of them a load, store or control instruction)
+    /// exactly as `n` calls of [`Warmer::observe`] would: once per line
+    /// change, at the first instruction in the new line.
+    fn observe_run(&mut self, first_pc: usize, n: u64, warm: &mut WarmState) {
+        let mut addr = Program::inst_addr(first_pc);
+        let end = addr + 4 * n;
+        while addr < end {
+            let line = addr >> self.line_shift;
+            if line != self.last_line {
+                warm.mem.warm_inst(addr);
+                self.last_line = line;
+            }
+            addr += (((line + 1) << self.line_shift) - addr).div_ceil(4) * 4;
         }
     }
 }
@@ -316,6 +336,37 @@ impl Shadow {
     }
 }
 
+impl ExecObserver for Shadow {
+    fn run(&mut self, _first_pc: usize, n: u64) {
+        self.cum.insts += n;
+    }
+
+    fn inst(&mut self, d: &DynInst) {
+        self.observe(d);
+    }
+}
+
+/// What the fast-forward feeds from `warm_from` on: the shadow profile and
+/// the warming hooks, in program order (the warming hierarchy's L2 is
+/// shared by its I- and D-side, so the order of touches matters).
+struct Warming<'a> {
+    shadow: &'a mut Shadow,
+    warmer: &'a mut Warmer,
+    warm: &'a mut WarmState,
+}
+
+impl ExecObserver for Warming<'_> {
+    fn run(&mut self, first_pc: usize, n: u64) {
+        self.shadow.cum.insts += n;
+        self.warmer.observe_run(first_pc, n, self.warm);
+    }
+
+    fn inst(&mut self, d: &DynInst) {
+        self.shadow.observe(d);
+        self.warmer.observe(d, self.warm);
+    }
+}
+
 /// Snapshot points of the shadow feature counters: every stratum boundary
 /// (periodic) plus explicitly registered instants (measure-window edges).
 struct Boundaries {
@@ -343,8 +394,15 @@ impl Boundaries {
         }
     }
 
+    /// The earliest instant not yet snapped ([`Boundaries::cross`] has
+    /// taken every earlier one).
+    fn next_instant(&self) -> u64 {
+        self.explicit
+            .front()
+            .map_or(self.next_periodic, |&e| e.min(self.next_periodic))
+    }
+
     /// Takes any snapshots whose instant has been reached.
-    #[inline]
     fn cross(&mut self, executed: u64, cum: &Features) {
         while self.explicit.front().is_some_and(|&b| b <= executed)
             || self.next_periodic <= executed
@@ -690,13 +748,58 @@ struct SegmentOut {
     /// captured only when `MachineConfig::trace` is on. The merge rebases
     /// and concatenates them segment by segment.
     traces: Vec<Box<PipelineTrace>>,
+    /// The head window segment 0 simulated (not one it reused).
+    head_run: Option<HeadRun>,
     detailed_insts: u64,
     error: Option<ExecError>,
 }
 
+/// The head stratum's detailed window as segment 0 measured it. It is the
+/// same cold-start run for any sampling period, so the ladder measures it
+/// once per row and hands it to the next rung.
+#[derive(Clone)]
+struct HeadRun {
+    stat: Option<IntervalStat>,
+    /// The structures the head trained (timing state reset).
+    warm: WarmState,
+    trace: Option<Box<PipelineTrace>>,
+    /// Instructions the head simulated in detail (drain pad included).
+    retired: u64,
+    /// `(squashes, insts)` over the head's second half.
+    anchor: RareEventAnchor,
+}
+
+/// Runs the head stratum: one detailed window over the program start, cold
+/// structures and pipeline fill included — exactly what the full run
+/// experiences there — with an extra mark halfway in for the rare-event
+/// anchor.
+fn simulate_head(program: &Program, cfg: &MachineConfig, sc: &SampleConfig) -> HeadRun {
+    let budget = (sc.head + DRAIN_PAD).min(sc.max_insts);
+    let end = sc.head.min(budget);
+    let cold = WarmState::cold(cfg);
+    let sim = Simulator::from_cpu_warm(program, cfg.clone(), Cpu::new(program), budget, cold)
+        .with_measure_window(0, end)
+        .with_extra_mark(sc.head / 2);
+    let (r, mut warm) = sim.run_with_state(INTERVAL_MAX_CYCLES);
+    warm.mem.reset_timing();
+    let stat = r
+        .measured()
+        .filter(|(s, e)| e.retired > s.retired)
+        .map(|(s, e)| IntervalStat::from_marks(0, 0, &s, &e));
+    HeadRun {
+        stat,
+        warm,
+        anchor: rare_events_after(r.mark_extra, &r),
+        retired: r.retired,
+        trace: r.trace,
+    }
+}
+
 /// Functionally advances `cpu` to dynamic instruction `until` (or `halt`)
-/// over predecoded blocks, feeding the shadow profile every instruction and
-/// the warming hooks every instruction at or past `warm_from`.
+/// block-at-a-time, feeding the shadow profile every instruction and the
+/// warming hooks every instruction at or past `warm_from`. Each block-engine
+/// advance stops at the next snapshot instant, at `warm_from` and at
+/// `until`, so every snapshot sees exactly the instructions before it.
 #[allow(clippy::too_many_arguments)]
 fn fast_forward(
     cpu: &mut Cpu,
@@ -710,14 +813,18 @@ fn fast_forward(
     warm_from: u64,
 ) -> Result<(), ExecError> {
     while !cpu.halted() && cpu.executed() < until {
-        let pre = cpu.executed();
-        bounds.cross(pre, &shadow.cum);
-        let Some(d) = cpu.step_decoded(dp, cur)? else {
-            break;
-        };
-        shadow.observe(&d);
-        if pre >= warm_from {
-            warmer.observe(&d, warm);
+        let at = cpu.executed();
+        bounds.cross(at, &shadow.cum);
+        let stop = until.min(bounds.next_instant());
+        if at < warm_from {
+            cpu.advance_observed(dp, cur, stop.min(warm_from), &mut *shadow)?;
+        } else {
+            let mut obs = Warming {
+                shadow: &mut *shadow,
+                warmer: &mut *warmer,
+                warm: &mut *warm,
+            };
+            cpu.advance_observed(dp, cur, stop, &mut obs)?;
         }
     }
     Ok(())
@@ -728,11 +835,15 @@ fn fast_forward(
 /// the segment's strata, closing with a functional run to the segment end
 /// so every owned stratum's shadow features are snapped.
 ///
+/// `reuse` is a head window already measured for this program and config
+/// (by another rung), taken instead of simulating the head again.
+///
 /// # Errors
 ///
 /// [`SampleError::BadCheckpoint`] when the segment's serialized phase-1
 /// checkpoint fails to deserialize — the caller retries once, then takes
 /// the exact-replay fallback for just this segment.
+#[allow(clippy::too_many_arguments)]
 fn run_segment(
     program: &Program,
     cfg: &MachineConfig,
@@ -741,6 +852,7 @@ fn run_segment(
     base_mem: &Memory,
     total: u64,
     job: &SegmentJob,
+    reuse: Option<&HeadRun>,
 ) -> Result<SegmentOut, SampleError> {
     let grid_start = sc.head;
     let mut cpu = match &job.ck {
@@ -764,7 +876,6 @@ fn run_segment(
     debug_assert_eq!(cpu.executed(), job.start);
     let mut dp = DecodedProgram::new(program);
     let mut cur = BlockCursor::new();
-    let mut warm = WarmState::cold(cfg);
     let mut warmer = Warmer::new(cfg);
     let mut shadow = Shadow::new(cfg);
     let mut bounds = Boundaries::new(grid_start + job.strata.0 * period, period);
@@ -774,6 +885,7 @@ fn run_segment(
         windows: Vec::with_capacity(job.windows.len()),
         strata_feats: Vec::new(),
         traces: Vec::new(),
+        head_run: None,
         detailed_insts: 0,
         error: None,
     };
@@ -781,30 +893,27 @@ fn run_segment(
     // interval (which trains the same structures more precisely).
     let mut warmed_until = job.start;
 
-    // Head stratum: one detailed window over the program start, cold
-    // structures and pipeline fill included — exactly what the full run
-    // experiences there.
-    if job.measure_head {
-        reno_chaos::failpoint!(FP_MEASURE_WINDOW, job.index);
-        let budget = (sc.head + DRAIN_PAD).min(sc.max_insts);
-        let end = sc.head.min(budget);
-        let sim = Simulator::from_cpu(program, cfg.clone(), Cpu::new(program), budget)
-            .with_warm_state(warm)
-            .with_measure_window(0, end);
-        let (r, trained) = sim.run_with_state(INTERVAL_MAX_CYCLES);
-        warm = trained;
-        warm.mem.reset_timing();
-        if let Some((s, e)) = r.measured() {
-            if e.retired > s.retired {
-                out.head = Some(IntervalStat::from_marks(0, 0, &s, &e));
+    // Head stratum (see `simulate_head`); the segment carries on from the
+    // structures it trained.
+    let mut warm = if job.measure_head {
+        let mut simulated = None;
+        let head = match reuse {
+            Some(h) => h,
+            None => {
+                reno_chaos::failpoint!(FP_MEASURE_WINDOW, job.index);
+                simulated.insert(simulate_head(program, cfg, sc))
             }
-        }
-        if let Some(t) = r.trace {
-            out.traces.push(t);
-        }
-        out.detailed_insts += r.retired;
-        warmed_until = r.retired;
-    }
+        };
+        out.head = head.stat;
+        out.traces.extend(head.trace.clone());
+        out.detailed_insts += head.retired;
+        warmed_until = head.retired;
+        let warm = head.warm.clone();
+        out.head_run = simulated;
+        warm
+    } else {
+        WarmState::cold(cfg)
+    };
 
     for &(s, pos) in &job.windows {
         reno_chaos::failpoint!(FP_WARM_REPLAY, job.index);
@@ -833,8 +942,7 @@ fn run_segment(
         warm.mem.reset_timing();
         warm.mem.reset_stats();
         warm.frontend.reset_stats();
-        let sim = Simulator::from_cpu(program, cfg.clone(), cpu.clone(), budget)
-            .with_warm_state(warm)
+        let sim = Simulator::from_cpu_warm(program, cfg.clone(), cpu.clone(), budget, warm)
             .with_measure_window(start, end);
         let (r, trained) = sim.run_with_state(INTERVAL_MAX_CYCLES);
         warm = trained;
@@ -959,6 +1067,7 @@ fn exact_segment_fallback(
         windows: Vec::new(),
         strata_feats: Vec::new(),
         traces: Vec::new(),
+        head_run: None,
         detailed_insts: r.retired,
         error: None,
     };
@@ -1237,21 +1346,43 @@ fn feature_drift(result: &SampledResult, ft: &FeatureTable) -> Option<f64> {
 /// Panics if `sc` is inconsistent (see [`SampleConfig::new`]).
 pub fn run_sampled(program: &Program, cfg: MachineConfig, sc: &SampleConfig) -> SampledResult {
     sc.validate();
+    sample_isolated(
+        program,
+        cfg,
+        sc,
+        || functional_pass(program, sc, sc.period),
+        None,
+    )
+    .0
+}
+
+/// [`run_sampled`] with the phase-1 pass supplied by `pass` (the direct
+/// functional pass, or one derived from the ladder's checkpoint grid) and
+/// an optional already-measured head window to reuse, also handing back
+/// the head window it simulated (`None` when it reused one, or lost it to
+/// a fault).
+fn sample_isolated(
+    program: &Program,
+    cfg: MachineConfig,
+    sc: &SampleConfig,
+    pass: impl Fn() -> CheckpointPass,
+    reuse: Option<&HeadRun>,
+) -> (SampledResult, Option<HeadRun>) {
     // Phase 1 runs under the same isolation discipline as the segment
     // workers: a panic is caught, retried once, and a persistent failure
     // degrades the whole run to the deterministic full-detail fallback —
     // this function never panics on a fault, only on a misused config.
-    let (pass, healed) = match run_caught(|| functional_pass(program, sc, sc.period)) {
+    let (pass, healed) = match run_caught(&pass) {
         Ok(p) => (Ok(p), None),
         Err(p0) => (
-            run_caught(|| functional_pass(program, sc, sc.period)).map_err(|_| p0),
+            run_caught(&pass).map_err(|_| p0),
             Some(FaultRecovery::Retried),
         ),
     };
     let (error, pass) = match pass {
         Ok(pass) => {
-            match run_sampled_with_pass(program, cfg.clone(), sc, &pass) {
-                Ok(mut r) => {
+            match sample_with_pass(program, cfg.clone(), sc, &pass, reuse) {
+                Ok((mut r, head)) => {
                     if let Some(recovery) = healed {
                         r.segment_faults.insert(
                             0,
@@ -1264,7 +1395,7 @@ pub fn run_sampled(program: &Program, cfg: MachineConfig, sc: &SampleConfig) -> 
                             },
                         );
                     }
-                    return r;
+                    return (r, head);
                 }
                 // A self-computed pass only misfits its own shape when its
                 // serialized checkpoints were corrupted (e.g. an injected
@@ -1282,7 +1413,7 @@ pub fn run_sampled(program: &Program, cfg: MachineConfig, sc: &SampleConfig) -> 
         error,
         recovery: FaultRecovery::ExactReplay,
     });
-    r
+    (r, None)
 }
 
 /// Like [`run_sampled`], but reusing a precomputed (possibly
@@ -1312,6 +1443,18 @@ pub fn run_sampled_with_pass(
     sc: &SampleConfig,
     pass: &CheckpointPass,
 ) -> Result<SampledResult, PassError> {
+    sample_with_pass(program, cfg, sc, pass, None).map(|(r, _)| r)
+}
+
+/// [`run_sampled_with_pass`] with an optional head window to reuse (see
+/// [`run_segment`]), also handing back the head window it simulated.
+fn sample_with_pass(
+    program: &Program,
+    cfg: MachineConfig,
+    sc: &SampleConfig,
+    pass: &CheckpointPass,
+    reuse: Option<&HeadRun>,
+) -> Result<(SampledResult, Option<HeadRun>), PassError> {
     sc.validate();
     let period = sc.period;
     let total = pass.total_insts;
@@ -1400,7 +1543,7 @@ pub fn run_sampled_with_pass(
         Err(p) => Err(SampleError::SegmentPanic(p.message)),
     };
     let first = try_par_map(&jobs, |job| {
-        run_segment(program, &cfg, sc, period, &base_mem, total, job)
+        run_segment(program, &cfg, sc, period, &base_mem, total, job, reuse)
     });
     let mut segment_faults: Vec<SegmentFault> = Vec::new();
     let mut exact_segments: Vec<ExactSegment> = Vec::new();
@@ -1410,7 +1553,7 @@ pub fn run_sampled_with_pass(
             Ok(out) => outs.push(out),
             Err(error) => {
                 let retried = flatten(run_caught(|| {
-                    run_segment(program, &cfg, sc, period, &base_mem, total, job)
+                    run_segment(program, &cfg, sc, period, &base_mem, total, job, reuse)
                 }));
                 match retried {
                     Ok(out) => {
@@ -1439,6 +1582,7 @@ pub fn run_sampled_with_pass(
 
     // Merge, in segment order (== program order).
     let mut head = None;
+    let mut head_run = None;
     let mut ft = FeatureTable {
         windows: Vec::new(),
         strata: vec![None; strata_total as usize],
@@ -1454,6 +1598,9 @@ pub fn run_sampled_with_pass(
     for out in outs {
         if out.head.is_some() {
             head = out.head;
+        }
+        if out.head_run.is_some() {
+            head_run = out.head_run;
         }
         if out.head_feat.is_some() {
             ft.head = out.head_feat;
@@ -1506,7 +1653,7 @@ pub fn run_sampled_with_pass(
         });
     }
     result.feature_drift = feature_drift(&result, &ft);
-    Ok(result)
+    Ok((result, head_run))
 }
 
 /// Runs `program` fully detailed and reports it as a degenerate
@@ -1563,12 +1710,21 @@ const DRIFT_LIMIT: f64 = 0.5;
 /// half belong to the steady state the windows claim to represent.
 type RareEventAnchor = Option<(u64, u64)>;
 
+/// `(squashes, insts)` from mark `from` to the end of run `r`.
+fn rare_events_after(from: Option<SampleMark>, r: &SimResult) -> RareEventAnchor {
+    let s = from?;
+    let (_, e) = r.measured()?;
+    (e.retired > s.retired).then(|| (e.stats.squashed - s.stats.squashed, e.retired - s.retired))
+}
+
+/// The anchor from a standalone cold run of the head — the same detailed
+/// run segment 0's head window makes, so only needed when that window was
+/// lost to a fault.
 fn rare_event_anchor(program: &Program, cfg: &MachineConfig, head: u64) -> RareEventAnchor {
     let r = Simulator::with_fuel(program, cfg.clone(), head + DRAIN_PAD)
         .with_measure_window(head / 2, head)
         .run(INTERVAL_MAX_CYCLES);
-    let (s, e) = r.measured()?;
-    (e.retired > s.retired).then(|| (e.stats.squashed - s.stats.squashed, e.retired - s.retired))
+    rare_events_after(r.mark_start, &r)
 }
 
 /// Rare-event blindness: squashes (memory-ordering violations and
@@ -1595,6 +1751,160 @@ fn windows_blind_to_rare_events(r: &SampledResult, anchor: RareEventAnchor) -> b
     expected >= 5.0 && (win_squash as f64) < expected / 4.0
 }
 
+/// The ladder's detailed head stratum (shared by both rungs).
+const LADDER_HEAD: u64 = 16384;
+/// Fewest measured windows a rung must field to be run at all, and to be
+/// accepted.
+const LADDER_MIN_WINDOWS: u64 = 12;
+/// Detailed warmup per ladder window: deep enough to rebuild the long-range
+/// state a restart loses (RENO's integration table above all).
+const LADDER_WARMUP: u64 = 2048;
+/// Measured instructions per ladder window.
+const LADDER_INTERVAL: u64 = 768;
+/// The dense rung's sampling period.
+const LADDER_DENSE_PERIOD: u64 = 12288;
+
+/// The ladder's sparse rung period for a program of `total` instructions
+/// (about 48 windows on long programs).
+fn ladder_sparse_period(total: u64) -> u64 {
+    (total / 48).max(32768)
+}
+
+/// The sampling shape of a ladder rung with sampling period `period`.
+fn ladder_config(period: u64, max_insts: u64) -> SampleConfig {
+    SampleConfig::new(LADDER_WARMUP, LADDER_INTERVAL, period)
+        .with_head(LADDER_HEAD)
+        .with_max_insts(max_insts)
+}
+
+/// Spacing of the ladder's length-probe checkpoint grid, in instructions,
+/// until the grid fills.
+const GRID_SPACING: u64 = 1 << 17;
+/// Most checkpoints the grid holds: when full, every other one is dropped
+/// and the spacing doubles, so memory stays bounded on any program length.
+const GRID_MAX: usize = 64;
+
+/// The ladder's one functional run: the program's exact length and
+/// architectural totals, plus a checkpoint grid from which every rung's
+/// [`CheckpointPass`] is derived instead of re-running the program.
+struct LengthProbe {
+    max_insts: u64,
+    total: u64,
+    halted: bool,
+    checksum: u64,
+    digest: u64,
+    error: Option<ExecError>,
+    /// The program's initial memory image, restored onto by grid restores.
+    base: Memory,
+    spacing: u64,
+    /// `grid[i]` is the machine at instruction `(i + 1) * spacing`.
+    grid: Vec<Checkpoint>,
+}
+
+impl LengthProbe {
+    /// Runs `program` functionally to `halt` or `max_insts`, checkpointing
+    /// every [`GRID_SPACING`] instructions until the grid fills.
+    fn run(program: &Program, max_insts: u64) -> LengthProbe {
+        let mut cpu = Cpu::new(program);
+        let base = cpu.mem().clone();
+        let mut dp = DecodedProgram::new(program);
+        let mut spacing = GRID_SPACING;
+        let mut grid: Vec<Checkpoint> = Vec::new();
+        let mut error = None;
+        loop {
+            if grid.len() == GRID_MAX {
+                grid = grid.into_iter().skip(1).step_by(2).collect();
+                spacing = spacing.saturating_mul(2);
+            }
+            let next = (grid.len() as u64 + 1).saturating_mul(spacing);
+            if next >= max_insts {
+                break;
+            }
+            if let Err(e) = cpu.advance_decoded(&mut dp, next) {
+                error = Some(e);
+                break;
+            }
+            if cpu.halted() {
+                break;
+            }
+            grid.push(Checkpoint::take_with_dirty_pages(
+                &cpu,
+                &cpu.mem().dirty_pages_sorted(),
+            ));
+        }
+        if error.is_none() {
+            if let Err(e) = cpu.advance_decoded(&mut dp, max_insts) {
+                error = Some(e);
+            }
+        }
+        LengthProbe {
+            max_insts,
+            total: cpu.executed(),
+            halted: cpu.halted(),
+            checksum: cpu.checksum(),
+            digest: cpu.state_digest(),
+            error,
+            base,
+            spacing,
+            grid,
+        }
+    }
+
+    /// The phase-1 pass for shape `sc`, byte-identical to
+    /// [`CheckpointPass::compute`]: each segment checkpoint is taken after
+    /// restoring the nearest grid checkpoint (or continuing from the
+    /// previous segment's, when that is nearer) and advancing to its
+    /// position. A restored machine reports the same dirty pages as the
+    /// uninterrupted run, so the checkpoint bytes match. Falls back to the
+    /// direct pass when the probe hit an execution error.
+    fn pass_for(&self, program: &Program, sc: &SampleConfig) -> CheckpointPass {
+        debug_assert_eq!(sc.max_insts, self.max_insts, "probe and rung share the cap");
+        if self.error.is_some() {
+            return functional_pass(program, sc, sc.period);
+        }
+        let (k, m) = segment_shape(sc.period);
+        let mut dp = DecodedProgram::new(program);
+        let mut cpu: Option<Cpu> = None;
+        let mut checkpoints = Vec::new();
+        let mut error = None;
+        for j in 1.. {
+            let pos = segment_checkpoint_position(sc.head, sc.period, k, m, j);
+            // The direct pass checkpoints exactly the positions the program
+            // is still running at (the probe's total is capped at max_insts).
+            if pos >= self.total {
+                break;
+            }
+            let g = (pos / self.spacing).min(self.grid.len() as u64);
+            if cpu
+                .as_ref()
+                .map_or(true, |c| c.executed() < g * self.spacing)
+            {
+                cpu = Some(match g {
+                    0 => Cpu::new(program),
+                    g => self.grid[g as usize - 1].restore_with_base(&self.base),
+                });
+            }
+            let cpu = cpu.as_mut().expect("set above");
+            if let Err(e) = cpu.advance_decoded(&mut dp, pos) {
+                error = Some(e);
+                break;
+            }
+            let mut bytes =
+                Checkpoint::take_with_dirty_pages(cpu, &cpu.mem().dirty_pages_sorted()).to_bytes();
+            reno_chaos::failpoint_bytes!(FP_PASS_CHECKPOINT, j, &mut bytes);
+            checkpoints.push(bytes);
+        }
+        CheckpointPass {
+            checkpoints,
+            total_insts: self.total,
+            halted: self.halted,
+            checksum: self.checksum,
+            digest: self.digest,
+            error,
+        }
+    }
+}
+
 /// The production entry point: sampled simulation with an accuracy
 /// escalation ladder.
 ///
@@ -1614,42 +1924,49 @@ fn windows_blind_to_rare_events(r: &SampledResult, anchor: RareEventAnchor) -> b
 ///   irregular to sample (every window gate failed) are simply measured;
 ///   sampling is a bargain for long programs, not a mandate for short ones.
 ///
-/// The gates only ever consult a cheap functional length probe and the
-/// runs' own diagnostics (window count, model R², window dispersion,
-/// feature drift), so the choice is deterministic.
+/// Each row pays for its shared work once. One functional length probe
+/// runs the program, checkpointing on a grid, and every rung derives its
+/// phase-1 pass from that grid instead of re-running the program. The
+/// first rung's head window is reused by the next rung and supplies the
+/// rare-event anchor; a standalone run of the head happens only when that
+/// window was lost to a fault.
+///
+/// The gates only ever consult the length probe and the runs' own
+/// diagnostics (window count, model R², window dispersion, feature drift,
+/// the anchor), so the choice is deterministic.
 pub fn run_sampled_auto(program: &Program, cfg: MachineConfig, max_insts: u64) -> SampledResult {
-    const HEAD: u64 = 16384;
-    const MIN_WINDOWS: u64 = 12;
-    /// Detailed warmup per window: deep enough to rebuild the long-range
-    /// state a restart loses (RENO's integration table above all).
-    const WARMUP: u64 = 2048;
-    const INTERVAL: u64 = 768;
+    // Length probe: rungs that cannot field enough windows are skipped
+    // instead of run and discarded.
+    let probe = LengthProbe::run(program, max_insts);
+    let total = probe.total;
+    let fields_windows =
+        |period: u64| total.saturating_sub(LADDER_HEAD) / period >= LADDER_MIN_WINDOWS;
 
-    // Length probe: a bare functional pass over predecoded blocks (several
-    // times cheaper than even the warming fast-forward) so rungs that
-    // cannot field enough windows are skipped instead of run and discarded.
-    let total = {
-        let mut cpu = Cpu::new(program);
-        let mut dp = DecodedProgram::new(program);
-        match cpu.run_decoded(&mut dp, max_insts) {
-            Ok(r) => r.executed,
-            Err(_) => cpu.executed(),
+    // Every rung measures the same cold head window: the first rung to
+    // run simulates it, the next reuses it.
+    let mut head: Option<HeadRun> = None;
+    let mut rung = |period: u64| {
+        let sc = ladder_config(period, max_insts);
+        let (r, measured) = sample_isolated(
+            program,
+            cfg.clone(),
+            &sc,
+            || probe.pass_for(program, &sc),
+            head.as_ref(),
+        );
+        if head.is_none() {
+            head = measured;
         }
+        (r, head.as_ref().map(|h| h.anchor))
     };
 
-    let p0 = (total / 48).max(32768);
-    let p1 = 12288u64;
-
-    // Ground-truth rare-event rates, measured once and shared by both
-    // rungs' gates (skipped when no rung can field enough windows anyway —
-    // `p1` is the denser rung, so its window guard is the weaker one).
-    let anchor = if total.saturating_sub(HEAD) / p1 >= MIN_WINDOWS {
-        rare_event_anchor(program, &cfg, HEAD)
-    } else {
-        None
-    };
-
-    let diag = |r: &SampledResult| {
+    // Ground-truth rare-event rates from the head's second half, shared by
+    // both rungs' gates (a standalone run only when the head was lost).
+    let mut anchor: Option<RareEventAnchor> = None;
+    let mut diag = |r: &SampledResult, head_anchor: Option<RareEventAnchor>| {
+        let anchor = *anchor.get_or_insert_with(|| {
+            head_anchor.unwrap_or_else(|| rare_event_anchor(program, &cfg, LADDER_HEAD))
+        });
         (
             r.intervals.len() as u64,
             r.model_r2
@@ -1667,13 +1984,11 @@ pub fn run_sampled_auto(program: &Program, cfg: MachineConfig, max_insts: u64) -
     // has already explained away. Either way, the unmeasured strata must
     // look like the measured ones (the drift gate) and the windows must
     // reproduce the anchored rare-event rates (the blindness gate).
-    if total.saturating_sub(HEAD) / p0 >= MIN_WINDOWS {
-        let sc0 = SampleConfig::new(WARMUP, INTERVAL, p0)
-            .with_head(HEAD)
-            .with_max_insts(max_insts);
-        let r0 = run_sampled(program, cfg.clone(), &sc0);
-        let (iv, r2, ci, profile_ok) = diag(&r0);
-        if iv >= MIN_WINDOWS
+    let p0 = ladder_sparse_period(total);
+    if fields_windows(p0) {
+        let (r0, head_anchor) = rung(p0);
+        let (iv, r2, ci, profile_ok) = diag(&r0, head_anchor);
+        if iv >= LADDER_MIN_WINDOWS
             && profile_ok
             && (ci <= 1.0
                 || (r2 >= 0.90 && ci <= 4.5)
@@ -1686,13 +2001,10 @@ pub fn run_sampled_auto(program: &Program, cfg: MachineConfig, max_insts: u64) -
 
     // Round 1: dense. A trusted model is mandatory here — programs that
     // reach this rung have dispersion only a model can tame.
-    if total.saturating_sub(HEAD) / p1 >= MIN_WINDOWS {
-        let sc1 = SampleConfig::new(WARMUP, INTERVAL, p1)
-            .with_head(HEAD)
-            .with_max_insts(max_insts);
-        let r1 = run_sampled(program, cfg.clone(), &sc1);
-        let (iv, r2, ci, profile_ok) = diag(&r1);
-        if iv >= MIN_WINDOWS
+    if fields_windows(LADDER_DENSE_PERIOD) {
+        let (r1, head_anchor) = rung(LADDER_DENSE_PERIOD);
+        let (iv, r2, ci, profile_ok) = diag(&r1, head_anchor);
+        if iv >= LADDER_MIN_WINDOWS
             && profile_ok
             && ((r2 >= 0.93 && ci <= 8.0) || (r2 >= 0.99 && ci <= 12.0))
         {
@@ -1700,6 +2012,8 @@ pub fn run_sampled_auto(program: &Program, cfg: MachineConfig, max_insts: u64) -
         }
     }
 
+    // The full-detail run needs no checkpoint or head: free them first.
+    drop((probe, head));
     full_detail(program, cfg, max_insts)
 }
 
@@ -1937,6 +2251,162 @@ mod tests {
             matches!(err, PassError::Mismatch { got: Some(_), .. }),
             "got {err:?}"
         );
+    }
+
+    #[test]
+    fn run_line_touches_match_per_instruction_warming() {
+        // A straight-line run must touch the I-side exactly as the same
+        // instructions observed one by one: same lines, same order, and the
+        // same last line carried into whatever comes next.
+        let cfg = cfg();
+        let plain = |pc: usize| DynInst {
+            seq: 0,
+            pc,
+            inst: reno_isa::Inst::alu_ri(reno_isa::Opcode::Addi, Reg::T0, Reg::T0, 1),
+            next_pc: pc + 1,
+            taken: false,
+            dst_val: 0,
+            mem_addr: 0,
+        };
+        let (mut by_run, mut by_inst) = (Warmer::new(&cfg), Warmer::new(&cfg));
+        let (mut warm_run, mut warm_inst) = (WarmState::cold(&cfg), WarmState::cold(&cfg));
+        for (first_pc, n) in [
+            (0, 1),
+            (1, 6),
+            (7, 9),
+            (16, 1),
+            (40, 1000),
+            (3, 2),
+            (5000, 17),
+        ] {
+            by_run.observe_run(first_pc, n, &mut warm_run);
+            for pc in first_pc..first_pc + n as usize {
+                by_inst.observe(&plain(pc), &mut warm_inst);
+            }
+            assert_eq!(by_run.last_line, by_inst.last_line, "run at {first_pc}");
+            assert_eq!(
+                warm_run.mem.cache_stats(),
+                warm_inst.mem.cache_stats(),
+                "run at {first_pc}"
+            );
+        }
+    }
+
+    /// The ladder's derived pass for both rung shapes, against the direct
+    /// pass, byte for byte.
+    fn assert_derived_passes_match(p: &Program, max_insts: u64, what: &str) {
+        let probe = LengthProbe::run(p, max_insts);
+        assert!(probe.error.is_none(), "{what}: probe ran clean");
+        let p0 = ladder_sparse_period(probe.total);
+        for period in [p0, LADDER_DENSE_PERIOD] {
+            let sc = ladder_config(period, max_insts);
+            let direct = CheckpointPass::compute(p, &sc);
+            let derived = probe.pass_for(p, &sc);
+            assert_eq!(
+                derived.to_bytes(),
+                direct.to_bytes(),
+                "{what}, period {period}: derived pass differs from the direct pass"
+            );
+        }
+    }
+
+    #[test]
+    fn derived_passes_equal_direct_passes_on_every_default_kernel() {
+        for w in reno_workloads::all_workloads(reno_workloads::Scale::Default) {
+            assert_derived_passes_match(&w.program, u64::MAX, w.name);
+        }
+    }
+
+    #[test]
+    fn derived_passes_equal_direct_passes_on_short_and_capped_runs() {
+        // Shorter than one grid step: no grid checkpoint, every segment
+        // checkpoint is derived from the fresh machine.
+        let short = kernel(10_000);
+        let probe = LengthProbe::run(&short, u64::MAX);
+        assert!(probe.total < GRID_SPACING && probe.grid.is_empty());
+        assert_derived_passes_match(&short, u64::MAX, "short");
+        // A cap inside the program, off the grid, and a grid spacing that
+        // doubled (more than GRID_MAX steps long).
+        let long = kernel(1_000_000);
+        assert_derived_passes_match(&long, 700_001, "capped");
+        let probe = LengthProbe::run(&long, u64::MAX);
+        assert!(probe.spacing > GRID_SPACING && probe.grid.len() <= GRID_MAX);
+        assert_derived_passes_match(&long, u64::MAX, "doubled grid");
+    }
+
+    #[test]
+    fn restored_machine_reports_the_uninterrupted_dirty_pages() {
+        let p = kernel_with(200_000, 4095);
+        let probe = LengthProbe::run(&p, u64::MAX);
+        let ck = probe.grid.last().expect("run spans the grid");
+        let mut resumed = ck.restore_with_base(&probe.base);
+        let mut straight = Cpu::new(&p);
+        let mut dp = DecodedProgram::new(&p);
+        let at = resumed.executed() + 12_345;
+        straight.advance_decoded(&mut dp, at).unwrap();
+        resumed.advance_decoded(&mut dp, at).unwrap();
+        assert_eq!(
+            resumed.mem().dirty_pages_sorted(),
+            straight.mem().dirty_pages_sorted()
+        );
+    }
+
+    #[test]
+    fn head_window_anchor_equals_the_standalone_anchor_run() {
+        // vortex: the kernel the rare-event blindness gate exists for.
+        let w = reno_workloads::all_workloads(reno_workloads::Scale::Default)
+            .into_iter()
+            .find(|w| w.name == "vortex")
+            .expect("vortex is a Default kernel");
+        let sc = ladder_config(LADDER_DENSE_PERIOD, u64::MAX).with_max_intervals(1);
+        let (r, head) = sample_isolated(
+            &w.program,
+            cfg(),
+            &sc,
+            || CheckpointPass::compute(&w.program, &sc),
+            None,
+        );
+        assert!(r.head.is_some() && r.segment_faults.is_empty());
+        let standalone = rare_event_anchor(&w.program, &cfg(), LADDER_HEAD);
+        assert!(
+            standalone.is_some_and(|(squashes, _)| squashes > 0),
+            "vortex squashes in its head's second half: {standalone:?}"
+        );
+        assert_eq!(head.map(|h| h.anchor), Some(standalone));
+    }
+
+    #[test]
+    fn a_reused_head_window_changes_nothing() {
+        // The dense rung takes the sparse rung's head window instead of
+        // simulating it again: the run must be byte-identical either way,
+        // trace included. Without jitter the first window starts right at
+        // the head's end, so it runs on exactly the structures the head
+        // trained.
+        let p = kernel(60_000);
+        let run = |mc: &MachineConfig, sc: &SampleConfig, reuse: Option<&HeadRun>| {
+            sample_isolated(
+                &p,
+                mc.clone(),
+                sc,
+                || CheckpointPass::compute(&p, sc),
+                reuse,
+            )
+        };
+        let mut traced = cfg();
+        traced.trace = true;
+        for mc in [cfg(), traced] {
+            let sc0 = SampleConfig::new(256, 512, 32768)
+                .with_head(4096)
+                .without_jitter();
+            let sc1 = SampleConfig::new(256, 512, 12288)
+                .with_head(4096)
+                .without_jitter();
+            let head = run(&mc, &sc0, None).1.expect("segment 0 measured the head");
+            let (fresh, _) = run(&mc, &sc1, None);
+            let (reused, _) = run(&mc, &sc1, Some(&head));
+            assert!(fresh.head.is_some() && fresh.intervals.len() > 12);
+            assert_eq!(format!("{fresh:?}"), format!("{reused:?}"));
+        }
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //! ```text
 //!  |<---------------------------- period ----------------------------->|
 //!  | fast-forward (functional + warming)     | warmup   | measure      |
-//!  |  Cpu::step_decoded streams the segment; | detailed | detailed,    |
-//!  |  caches, branch predictor and BTB/RAS   | pipeline | counters     |
-//!  |  train at functional cost               | (stats   | recorded     |
-//!  |                                         | dropped) | via marks    |
+//!  |  Cpu::advance_observed runs the segment | detailed | detailed,    |
+//!  |  block by block; caches, branch         | pipeline | counters     |
+//!  |  predictor and BTB/RAS train at         | (stats   | recorded     |
+//!  |  functional cost                        | dropped) | via marks    |
 //! ```
 //!
 //! * **Restore**: a worker deserializes its checkpoint and restores it
@@ -31,22 +31,42 @@
 //!   bit-identical to uninterrupted execution. Before its first stratum it
 //!   replays a warm margin (at least an L2-refill horizon of functional
 //!   warming), so no window is measured against segment-cold structures.
-//! * **Fast-forward** feeds every dynamic instruction to the warming
-//!   hooks: cache directories via [`reno_mem::MemHierarchy::warm_data`] /
-//!   `warm_inst`, and the direction predictor, BTB and RAS via
-//!   [`reno_uarch::FrontEnd::process`] (classified exactly as the fetch
-//!   stage would, via [`reno_sim::classify_control`]).
-//! * **Warmup → measure**: the detailed simulator runs `warmup + interval`
-//!   instructions with [`reno_sim::Simulator::with_measure_window`] marking
-//!   the two boundaries; the pipeline is in full flight at both marks, so
-//!   the delta has neither fill nor drain edges. The trained structures come
-//!   back via [`reno_sim::Simulator::run_with_state`] and carry into the
-//!   next period of the same segment.
+//! * **Fast-forward** runs on the block engine
+//!   ([`reno_func::Cpu::advance_observed`]): straight-line runs arrive as
+//!   `(first_pc, n)`, loads, stores and control instructions as records,
+//!   and each advance stops exactly at the next profile snapshot or window.
+//!   Every instruction reaches the warming hooks in program order: cache
+//!   directories via [`reno_mem::MemHierarchy::warm_data`] / `warm_inst`
+//!   (a run's I-line touches are replayed before the next data access, so
+//!   the shared L2 sees the per-instruction sequence), and the direction
+//!   predictor, BTB and RAS via [`reno_uarch::FrontEnd::process`]
+//!   (classified exactly as the fetch stage would, via
+//!   [`reno_sim::classify_control`]).
+//! * **Warmup → measure**: the detailed simulator, built around the
+//!   carried warm structures by [`reno_sim::Simulator::from_cpu_warm`],
+//!   runs `warmup + interval` instructions with
+//!   [`reno_sim::Simulator::with_measure_window`] marking the two
+//!   boundaries; the pipeline is in full flight at both marks, so the delta
+//!   has neither fill nor drain edges. The trained structures come back via
+//!   [`reno_sim::Simulator::run_with_state`] and carry into the next period
+//!   of the same segment.
 //!
 //! Segmentation derives from the sampling config alone — never from the
 //! host — and the merge is order-preserving, so the result is
 //! **byte-identical at any `RENO_THREADS`** (a dedicated differential test
 //! and thread-forced CI golden diffs enforce this bit-for-bit).
+//!
+//! The production entry point, [`run_sampled_auto`], escalates from sparse
+//! to dense sampling to full detail, and pays for shared work once per
+//! program: one functional length probe checkpoints the program on a grid
+//! (every 2^17 instructions, at most 64 checkpoints, the spacing doubling
+//! when full), and each rung derives its phase-1 pass from the nearest
+//! grid checkpoint instead of re-running the program — byte-identical to
+//! [`CheckpointPass::compute`]. The head window is simulated once per
+//! program: the dense rung reuses the sparse rung's (its measurement,
+//! trained structures and trace), and the rare-event anchor of the
+//! ladder's blindness gate comes from an extra counter mark inside it
+//! rather than a second detailed run of the head.
 //!
 //! The whole-run estimate uses the ratio estimator (total measured cycles /
 //! total measured instructions) and reports a 95% confidence bound from the

@@ -55,10 +55,11 @@
 //! The checkpointed-sampling subsystem (`reno-sample`) drives the pipeline
 //! through three hooks, each a strict generalization of the normal entry
 //! points: [`Simulator::from_cpu`] resumes from any architectural state (a
-//! restored `reno_func::Checkpoint`), [`Simulator::with_warm_state`] /
+//! restored `reno_func::Checkpoint`), [`Simulator::from_cpu_warm`] /
 //! [`Simulator::run_with_state`] thread functionally warmed caches,
 //! predictors, and store-sets ([`WarmState`]) into and out of a run, and
-//! [`Simulator::with_measure_window`] snapshots every counter when chosen
+//! [`Simulator::with_measure_window`] (plus one
+//! [`Simulator::with_extra_mark`]) snapshots every counter when chosen
 //! instructions retire ([`SampleMark`]), so a measurement interval's delta
 //! has the pipeline in full flight at both edges. A differential property
 //! suite in `reno-sample` pins resumed runs as counter-identical to

@@ -236,9 +236,9 @@ impl SeqSet {
 /// The sampling subsystem threads one `WarmState` through a whole sampled
 /// run: functional fast-forward warms it cheaply between measurement
 /// intervals ([`reno_mem::MemHierarchy::warm_data`],
-/// [`reno_uarch::FrontEnd::process`]), each detailed interval consumes it
-/// via [`Simulator::with_warm_state`] and returns the further-trained state
-/// from [`Simulator::run_with_state`].
+/// [`reno_uarch::FrontEnd::process`]), each detailed interval is built
+/// around it by [`Simulator::from_cpu_warm`] and returns the further-trained
+/// state from [`Simulator::run_with_state`].
 #[derive(Clone, Debug)]
 pub struct WarmState {
     /// Cache directory state (I$/D$/L2).
@@ -389,6 +389,13 @@ pub struct Simulator<'p> {
     mark_at: (u64, u64),
     mark_start: Option<SampleMark>,
     mark_end: Option<SampleMark>,
+    /// Retired-instruction count of the extra snapshot (`u64::MAX` = none
+    /// requested).
+    extra_at: u64,
+    mark_extra: Option<SampleMark>,
+    /// The earliest boundary whose snapshot is still to be taken
+    /// (`u64::MAX` = none): the hot loop compares only against this.
+    next_mark: u64,
 }
 
 impl<'p> Simulator<'p> {
@@ -409,14 +416,38 @@ impl<'p> Simulator<'p> {
     /// values mirror `cpu`'s architectural register file (the reset map
     /// table maps logical register `r` to physical register `r`).
     ///
-    /// Microarchitectural structures start cold; chain
-    /// [`Simulator::with_warm_state`] to inject functionally warmed state.
-    /// `fuel` caps the dynamic instructions fed from this point on.
+    /// Microarchitectural structures start cold; use
+    /// [`Simulator::from_cpu_warm`] to start from functionally warmed
+    /// state instead. `fuel` caps the dynamic instructions fed from this
+    /// point on.
     pub fn from_cpu(
         program: &'p Program,
         cfg: MachineConfig,
         cpu: Cpu,
         fuel: u64,
+    ) -> Simulator<'p> {
+        Simulator::build(program, cfg, cpu, fuel, None)
+    }
+
+    /// Like [`Simulator::from_cpu`], but built around pre-warmed cache
+    /// directories, predictors and store-sets (see [`WarmState`]) instead
+    /// of cold ones — no cold structure is built only to be replaced.
+    pub fn from_cpu_warm(
+        program: &'p Program,
+        cfg: MachineConfig,
+        cpu: Cpu,
+        fuel: u64,
+        warm: WarmState,
+    ) -> Simulator<'p> {
+        Simulator::build(program, cfg, cpu, fuel, Some(warm))
+    }
+
+    fn build(
+        program: &'p Program,
+        cfg: MachineConfig,
+        cpu: Cpu,
+        fuel: u64,
+        warm: Option<WarmState>,
     ) -> Simulator<'p> {
         let total = cfg.reno.total_pregs;
         let mut pregs = vec![
@@ -451,11 +482,18 @@ impl<'p> Simulator<'p> {
             Reg::ZERO,
             0,
         ));
+        // A cold machine builds these at their fields, interleaved with its
+        // other allocations.
+        let (frontend, mem, storesets) = match warm {
+            Some(w) => (Some(w.frontend), Some(w.mem), Some(w.storesets)),
+            None => (None, None, None),
+        };
         Simulator {
-            frontend: FrontEnd::new(cfg.bpred, cfg.btb, cfg.ras_entries),
+            frontend: frontend
+                .unwrap_or_else(|| FrontEnd::new(cfg.bpred, cfg.btb, cfg.ras_entries)),
             reno: Reno::new(cfg.reno),
-            mem: MemHierarchy::new(cfg.hier),
-            storesets: StoreSets::new(cfg.storesets),
+            mem: mem.unwrap_or_else(|| MemHierarchy::new(cfg.hier)),
+            storesets: storesets.unwrap_or_else(|| StoreSets::new(cfg.storesets)),
             oracle: Oracle::from_cpu(cpu, program, fuel),
             oracle_done: false,
             replay: VecDeque::new(),
@@ -509,18 +547,11 @@ impl<'p> Simulator<'p> {
             mark_at: (u64::MAX, u64::MAX),
             mark_start: None,
             mark_end: None,
+            extra_at: u64::MAX,
+            mark_extra: None,
+            next_mark: u64::MAX,
             cfg,
         }
-    }
-
-    /// Replaces the cold microarchitectural structures with pre-warmed ones
-    /// (see [`WarmState`]). Call before [`Simulator::run`].
-    #[must_use]
-    pub fn with_warm_state(mut self, warm: WarmState) -> Simulator<'p> {
-        self.mem = warm.mem;
-        self.frontend = warm.frontend;
-        self.storesets = warm.storesets;
-        self
     }
 
     /// Requests counter snapshots when `start` and `end` instructions (from
@@ -539,6 +570,20 @@ impl<'p> Simulator<'p> {
     pub fn with_measure_window(mut self, start: u64, end: u64) -> Simulator<'p> {
         assert!(start <= end, "measure window boundaries out of order");
         self.mark_at = (start, end);
+        self.next_mark = self.next_mark.min(start);
+        self
+    }
+
+    /// Requests one more counter snapshot, reported in
+    /// [`SimResult::mark_extra`], when `at` instructions (from this
+    /// simulator's own starting point) have retired — e.g. so one detailed
+    /// run over a window also yields the counters of a sub-range of it.
+    /// The snapshot never changes the simulation; `at` past the end mark is
+    /// never reached.
+    #[must_use]
+    pub fn with_extra_mark(mut self, at: u64) -> Simulator<'p> {
+        self.extra_at = at;
+        self.next_mark = self.next_mark.min(at);
         self
     }
 
@@ -562,8 +607,8 @@ impl<'p> Simulator<'p> {
     pub fn run_with_state(mut self, max_cycles: u64) -> (SimResult, WarmState) {
         if self.trace.is_some() {
             // Arm the hierarchy's memory-track sink here rather than at
-            // construction: `with_warm_state` may have swapped in a warmed
-            // (un-armed) hierarchy after the constructor ran.
+            // construction, so a warmed hierarchy handed to
+            // `from_cpu_warm` is armed the same way as a cold one.
             self.mem.enable_trace();
         }
         let naive = self.cfg.naive_sched;
@@ -571,11 +616,7 @@ impl<'p> Simulator<'p> {
         while !self.finished() && self.cycle < max_cycles {
             self.port_budget = self.cfg.store_ports;
             self.retire_stage();
-            if self.retired >= self.mark_at.0 && self.mark_start.is_none() {
-                self.mark_start = Some(self.mark_now());
-            }
-            if self.retired >= self.mark_at.1 && self.mark_end.is_none() {
-                self.mark_end = Some(self.mark_now());
+            if self.retired >= self.next_mark && self.take_due_marks() {
                 // The measurement is complete: everything younger than the
                 // end boundary is the sampling engine's padding, which the
                 // functional fast-forward re-executes anyway. Stop here
@@ -618,6 +659,27 @@ impl<'p> Simulator<'p> {
             }
         }
         self.finish()
+    }
+
+    /// Takes every snapshot whose boundary `retired` has reached (start,
+    /// extra, end, in that order) and re-arms [`Simulator::next_mark`];
+    /// returns whether the end mark was taken.
+    fn take_due_marks(&mut self) -> bool {
+        if self.mark_start.is_none() && self.retired >= self.mark_at.0 {
+            self.mark_start = Some(self.mark_now());
+        }
+        if self.mark_extra.is_none() && self.retired >= self.extra_at {
+            self.mark_extra = Some(self.mark_now());
+        }
+        if self.mark_end.is_none() && self.retired >= self.mark_at.1 {
+            self.mark_end = Some(self.mark_now());
+            return true;
+        }
+        let pending = |at: u64, taken: bool| if taken { u64::MAX } else { at };
+        self.next_mark = pending(self.mark_at.0, self.mark_start.is_some())
+            .min(pending(self.extra_at, self.mark_extra.is_some()))
+            .min(pending(self.mark_at.1, self.mark_end.is_some()));
+        false
     }
 
     fn mark_now(&self) -> SampleMark {
@@ -711,6 +773,7 @@ impl<'p> Simulator<'p> {
             cpa: self.cpa,
             mark_start: self.mark_start,
             mark_end: self.mark_end,
+            mark_extra: self.mark_extra,
             trace: self.trace,
         };
         let warm = WarmState {

@@ -85,6 +85,9 @@ pub struct SimResult {
     /// Snapshot at the measure-window end boundary, if reached before the
     /// program (or the fuel) ran out.
     pub mark_end: Option<SampleMark>,
+    /// Snapshot requested with [`crate::Simulator::with_extra_mark`], if
+    /// reached before the run stopped.
+    pub mark_extra: Option<SampleMark>,
     /// Structured pipeline event trace (present only when
     /// `MachineConfig::trace` was set; see `reno-trace` for the export).
     pub trace: Option<Box<PipelineTrace>>,
@@ -152,6 +155,7 @@ mod tests {
             cpa: Vec::new(),
             mark_start: None,
             mark_end: None,
+            mark_extra: None,
             trace: None,
         }
     }
