@@ -72,22 +72,34 @@ impl LeaseConfig {
     /// `RENO_DSE_LEASE_WAIT_MS`.
     pub fn from_env() -> LeaseConfig {
         let mut cfg = LeaseConfig::default();
-        if let Some(ms) = env_ms("RENO_DSE_LEASE_TTL_MS") {
-            cfg.ttl = ms;
+        if let Some(ms) = crate::env_knob("RENO_DSE_LEASE_TTL_MS", parse_ttl_ms) {
+            cfg.ttl = Duration::from_millis(ms);
         }
-        if let Some(ms) = env_ms("RENO_DSE_LEASE_WAIT_MS") {
-            cfg.max_wait = ms;
+        if let Some(ms) = crate::env_knob("RENO_DSE_LEASE_WAIT_MS", parse_wait_ms) {
+            cfg.max_wait = Duration::from_millis(ms);
         }
         cfg
     }
 }
 
-fn env_ms(var: &str) -> Option<Duration> {
-    std::env::var(var)
-        .ok()?
-        .parse::<u64>()
-        .ok()
-        .map(Duration::from_millis)
+/// Parses `RENO_DSE_LEASE_TTL_MS` (see [`crate::parse_knob`]).
+fn parse_ttl_ms(v: Option<&str>) -> Result<Option<u64>, String> {
+    crate::parse_knob(
+        "RENO_DSE_LEASE_TTL_MS",
+        v,
+        "a whole number of milliseconds, or unset for 30000",
+        |s| s.parse().ok(),
+    )
+}
+
+/// Parses `RENO_DSE_LEASE_WAIT_MS` (see [`crate::parse_knob`]).
+fn parse_wait_ms(v: Option<&str>) -> Result<Option<u64>, String> {
+    crate::parse_knob(
+        "RENO_DSE_LEASE_WAIT_MS",
+        v,
+        "a whole number of milliseconds, or unset for 120000",
+        |s| s.parse().ok(),
+    )
 }
 
 /// Milliseconds since the Unix epoch (the lease expiry clock).
@@ -469,6 +481,28 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
         fs::create_dir_all(root.join("tmp")).unwrap();
         (root.clone(), root.join("tmp"))
+    }
+
+    #[test]
+    fn malformed_lease_knobs_are_rejected_loudly() {
+        for parse in [parse_ttl_ms, parse_wait_ms] {
+            assert_eq!(parse(None), Ok(None));
+            assert_eq!(parse(Some(" ")), Ok(None));
+            assert_eq!(parse(Some("2500")), Ok(Some(2500)));
+            for bad in ["30s", "-5", "2.5", "forever"] {
+                let e = parse(Some(bad)).unwrap_err();
+                assert!(
+                    e.contains(&format!("{bad:?}")) && e.contains("milliseconds"),
+                    "{e}"
+                );
+            }
+        }
+        assert!(parse_ttl_ms(Some("x"))
+            .unwrap_err()
+            .starts_with("RENO_DSE_LEASE_TTL_MS="));
+        assert!(parse_wait_ms(Some("x"))
+            .unwrap_err()
+            .starts_with("RENO_DSE_LEASE_WAIT_MS="));
     }
 
     #[test]

@@ -240,6 +240,16 @@ pub struct Store {
     pub stats: StoreStats,
 }
 
+/// Parses `RENO_DSE_QUARANTINE_KEEP` (see [`crate::parse_knob`]).
+fn parse_quarantine_keep(v: Option<&str>) -> Result<Option<usize>, String> {
+    crate::parse_knob(
+        "RENO_DSE_QUARANTINE_KEEP",
+        v,
+        "a whole number of quarantined objects to keep, or unset for 8",
+        |s| s.parse().ok(),
+    )
+}
+
 impl Store {
     /// Opens (creating if needed) a store rooted at `root`.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Store> {
@@ -247,9 +257,7 @@ impl Store {
         for sub in ["objects", "tmp", "quarantine", "journal"] {
             fs::create_dir_all(root.join(sub))?;
         }
-        let quarantine_keep = std::env::var("RENO_DSE_QUARANTINE_KEEP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
+        let quarantine_keep = crate::env_knob("RENO_DSE_QUARANTINE_KEEP", parse_quarantine_keep)
             .unwrap_or(DEFAULT_QUARANTINE_KEEP);
         Ok(Store {
             root,
@@ -466,6 +474,21 @@ pub(crate) fn prune_quarantine(dir: &Path, keep: usize) -> io::Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn malformed_quarantine_keep_is_rejected_loudly() {
+        assert_eq!(parse_quarantine_keep(None), Ok(None));
+        assert_eq!(parse_quarantine_keep(Some("")), Ok(None));
+        assert_eq!(parse_quarantine_keep(Some("0")), Ok(Some(0)));
+        assert_eq!(parse_quarantine_keep(Some("12")), Ok(Some(12)));
+        for bad in ["all", "-1", "2.0", "8 files"] {
+            let e = parse_quarantine_keep(Some(bad)).unwrap_err();
+            assert!(
+                e.contains(&format!("{bad:?}")) && e.contains("whole number"),
+                "{e}"
+            );
+        }
+    }
 
     #[test]
     fn fnv_vectors() {

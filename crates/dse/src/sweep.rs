@@ -375,17 +375,10 @@ fn cell_deadline(spec: &SweepSpec, opts: &SweepOptions) -> Duration {
     if let Some(ms) = opts.deadline_ms {
         return Duration::from_millis(ms);
     }
-    if let Some(ms) = std::env::var("RENO_DSE_CELL_DEADLINE_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
+    if let Some(ms) = crate::env_knob("RENO_DSE_CELL_DEADLINE_MS", parse_deadline_ms) {
         return Duration::from_millis(ms);
     }
-    let mult = std::env::var("RENO_DSE_DEADLINE_MULT")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|m| m.is_finite() && *m >= 0.001)
-        .unwrap_or(1.0);
+    let mult = crate::env_knob("RENO_DSE_DEADLINE_MULT", parse_deadline_mult).unwrap_or(1.0);
     let base_secs = match &spec.mode {
         // Assume a pathologically slow host still retires 100k inst/s of
         // detailed simulation; floor of 30s for tiny fuels.
@@ -393,6 +386,30 @@ fn cell_deadline(spec: &SweepSpec, opts: &SweepOptions) -> Duration {
         Mode::Sampled { .. } => 600,
     };
     Duration::from_secs_f64(base_secs as f64 * mult)
+}
+
+/// Parses `RENO_DSE_CELL_DEADLINE_MS` (see [`crate::parse_knob`]).
+fn parse_deadline_ms(v: Option<&str>) -> Result<Option<u64>, String> {
+    crate::parse_knob(
+        "RENO_DSE_CELL_DEADLINE_MS",
+        v,
+        "a whole number of milliseconds, or unset for the fuel-derived deadline",
+        |s| s.parse().ok(),
+    )
+}
+
+/// Parses `RENO_DSE_DEADLINE_MULT` (see [`crate::parse_knob`]).
+fn parse_deadline_mult(v: Option<&str>) -> Result<Option<f64>, String> {
+    crate::parse_knob(
+        "RENO_DSE_DEADLINE_MULT",
+        v,
+        "a number of at least 0.001, or unset for 1",
+        |s| {
+            s.parse::<f64>()
+                .ok()
+                .filter(|m| m.is_finite() && *m >= 0.001)
+        },
+    )
 }
 
 /// Computes one cell (no caching, no catching) — the unit of work the pool
@@ -773,6 +790,30 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn malformed_deadline_knobs_are_rejected_loudly() {
+        assert_eq!(parse_deadline_ms(None), Ok(None));
+        assert_eq!(parse_deadline_ms(Some("")), Ok(None));
+        assert_eq!(parse_deadline_ms(Some("150")), Ok(Some(150)));
+        for bad in ["150ms", "-1", "1.5", "soon"] {
+            let e = parse_deadline_ms(Some(bad)).unwrap_err();
+            assert!(
+                e.contains(&format!("{bad:?}")) && e.contains("milliseconds"),
+                "{e}"
+            );
+        }
+        assert_eq!(parse_deadline_mult(None), Ok(None));
+        assert_eq!(parse_deadline_mult(Some("2.5")), Ok(Some(2.5)));
+        assert_eq!(parse_deadline_mult(Some("0.001")), Ok(Some(0.001)));
+        for bad in ["x2", "0", "-3", "inf", "NaN"] {
+            let e = parse_deadline_mult(Some(bad)).unwrap_err();
+            assert!(
+                e.contains(&format!("{bad:?}")) && e.contains("0.001"),
+                "{e}"
+            );
+        }
+    }
 
     /// Pins the `stats.json` schema the `dse` binary writes next to
     /// `--out`: syntactically valid JSON carrying every counter under its

@@ -76,20 +76,45 @@ pub const DEFAULT_ITERS: u64 = 100_000;
 /// Default deterministic seed (CI and local runs agree unless overridden).
 pub const DEFAULT_SEED: u64 = 0x5eed_4e40;
 
-/// Reads `RENO_FUZZ_ITERS`, falling back to `default`.
+/// Reads `RENO_FUZZ_ITERS`, falling back to `default` when unset.
+///
+/// # Panics
+///
+/// Panics, naming the valid values, when it is set to anything but a whole
+/// number: a typo must not silently run the default-length soak.
 pub fn iters_from_env(default: u64) -> u64 {
-    std::env::var("RENO_FUZZ_ITERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
+    knob_from_env("RENO_FUZZ_ITERS", default)
+}
+
+/// Reads `RENO_FUZZ_SEED`, falling back to `default` when unset.
+///
+/// # Panics
+///
+/// Panics, naming the valid values, when it is set to anything but a whole
+/// number: a typo must not silently fuzz the default stream.
+pub fn seed_from_env(default: u64) -> u64 {
+    knob_from_env("RENO_FUZZ_SEED", default)
+}
+
+fn knob_from_env(name: &str, default: u64) -> u64 {
+    let v = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_knob(name, v.as_deref())
+        .unwrap_or_else(|e| panic!("{e}"))
         .unwrap_or(default)
 }
 
-/// Reads `RENO_FUZZ_SEED`, falling back to `default`.
-pub fn seed_from_env(default: u64) -> u64 {
-    std::env::var("RENO_FUZZ_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+/// Parses a `RENO_FUZZ_ITERS` / `RENO_FUZZ_SEED` value: `None` (unset or
+/// empty) means the default, a whole number is used, anything else is an
+/// error listing the valid values.
+fn parse_knob(name: &str, v: Option<&str>) -> Result<Option<u64>, String> {
+    match v.map(str::trim) {
+        None | Some("") => Ok(None),
+        Some(s) => s.parse().map(Some).map_err(|_| {
+            format!(
+                "{name}={s:?} is malformed; valid values: a whole number, or unset for the default"
+            )
+        }),
+    }
 }
 
 /// Outcome tallies of one fuzz run. `failures` holds human-readable
@@ -1386,6 +1411,22 @@ pub fn run_asm_fuzz(seed: u64, iters: u64) -> FuzzReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn malformed_fuzz_knobs_are_rejected_loudly() {
+        for name in ["RENO_FUZZ_ITERS", "RENO_FUZZ_SEED"] {
+            assert_eq!(parse_knob(name, None), Ok(None));
+            assert_eq!(parse_knob(name, Some("")), Ok(None));
+            assert_eq!(parse_knob(name, Some("30000")), Ok(Some(30000)));
+            for bad in ["1e5", "-1", "0x10", "lots"] {
+                let e = parse_knob(name, Some(bad)).unwrap_err();
+                assert!(
+                    e.starts_with(&format!("{name}={bad:?}")) && e.contains("whole number"),
+                    "{e}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn decode_fuzz_smoke_is_clean() {

@@ -26,6 +26,19 @@
 //!   moment each slot resolves, so callers can commit results durably in
 //!   arrival order without waiting for the whole fleet.
 //!
+//! * [`borrow_helper`] — one extra thread for a caller that would otherwise
+//!   leave a core idle. The rule: a call may borrow a helper only when the
+//!   calling thread is not itself running a job of this crate's pools (the
+//!   scoped workers of [`par_map`]/[`try_par_map`] and the detachable
+//!   threads of [`try_par_map_deadline`] are all marked), is not already
+//!   lending to a helper, and [`thread_count`] is at least 2. A fan-out
+//!   therefore never grows past [`thread_count`] threads, and
+//!   `RENO_THREADS=1` never borrows. A job a pool runs inline on the
+//!   caller's thread (one item, or one worker) keeps the caller's standing,
+//!   so a single-segment sampled run on an otherwise idle host may borrow.
+//!   The sampling engine uses it to walk a segment functionally ahead of
+//!   its detailed windows.
+//!
 //! Both the experiment harness (`reno-bench`, which fans workload ×
 //! configuration sweeps), the sampling engine (`reno-sample`, which fans
 //! checkpoint-delimited segments of one sampled run) and the DSE service
@@ -34,12 +47,25 @@
 //! share it without a dependency cycle.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
+
+thread_local! {
+    /// Set for the whole life of every thread a pool of this crate spawned
+    /// to run jobs (helper threads included), and on a thread while it
+    /// lends to a helper: such a thread may not borrow a helper.
+    static BUSY: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as a job thread (see [`borrow_helper`]).
+fn mark_job_thread() {
+    BUSY.with(|f| f.set(true));
+}
 
 /// Worker threads for [`par_map`]: the `RENO_THREADS` override if set
 /// (>= 1), otherwise the host's available parallelism.
@@ -124,13 +150,16 @@ where
     let slots: Vec<Mutex<Option<Caught<R>>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
+            s.spawn(|| {
+                mark_job_thread();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= items.len() {
+                        break;
+                    }
+                    let r = catch_unwind(AssertUnwindSafe(|| f(&items[i])));
+                    *slots[i].lock().expect("result slot poisoned") = Some(r);
                 }
-                let r = catch_unwind(AssertUnwindSafe(|| f(&items[i])));
-                *slots[i].lock().expect("result slot poisoned") = Some(r);
             });
         }
     });
@@ -197,6 +226,62 @@ where
 /// job in isolation without paying for a pool.
 pub fn run_caught<R>(f: impl FnOnce() -> R) -> Result<R, JobPanic> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|p| JobPanic::from_payload(p.as_ref()))
+}
+
+/// A grant of one helper thread, from [`borrow_helper`]. It stays on the
+/// thread that borrowed it (it is neither `Send` nor `Sync`), and while it
+/// lives that thread cannot borrow another.
+pub struct Helper {
+    _on_this_thread: std::marker::PhantomData<*const ()>,
+}
+
+/// Borrows one helper thread when the rule in the crate docs allows it:
+/// the calling thread runs no pool job and lends to no helper, and
+/// [`thread_count`] is at least 2. `None` means run everything on the
+/// caller's thread.
+pub fn borrow_helper() -> Option<Helper> {
+    if BUSY.with(Cell::get) || thread_count() < 2 {
+        return None;
+    }
+    BUSY.with(|f| f.set(true));
+    Some(Helper {
+        _on_this_thread: std::marker::PhantomData,
+    })
+}
+
+impl Helper {
+    /// Runs `helper` on the borrowed thread while `main` runs on the
+    /// caller's, and returns both results once both are done. A panic in
+    /// `helper` comes back as its `Err`; a panic in `main` propagates with
+    /// its own payload after the helper has finished — so `helper` must not
+    /// wait forever on `main` (for example, stop when a channel to it
+    /// closes). The helper thread counts as a job thread: it cannot borrow
+    /// a helper of its own.
+    pub fn join<H, T, M, R>(self, helper: H, main: M) -> (std::thread::Result<T>, R)
+    where
+        H: FnOnce() -> T + Send,
+        T: Send,
+        M: FnOnce() -> R,
+    {
+        std::thread::scope(|s| {
+            let h = std::thread::Builder::new()
+                .name("reno-par-helper".into())
+                .spawn_scoped(s, || {
+                    mark_job_thread();
+                    helper()
+                })
+                .expect("spawn helper thread");
+            let r = main();
+            (h.join(), r)
+        })
+    }
+}
+
+impl Drop for Helper {
+    fn drop(&mut self) {
+        // Only an idle thread got the grant, so idle is what it returns to.
+        BUSY.with(|f| f.set(false));
+    }
 }
 
 /// Why one [`try_par_map_deadline`] job failed: it panicked, or it exceeded
@@ -304,6 +389,7 @@ where
             let handle = std::thread::Builder::new()
                 .name(format!("reno-par-job-{idx}"))
                 .spawn(move || {
+                    mark_job_thread();
                     let r = catch_unwind(AssertUnwindSafe(|| f(item, &token)));
                     // The receiver may already have abandoned this job; a
                     // closed channel is fine, the result is simply dropped.
@@ -408,6 +494,69 @@ mod tests {
                 "{e}"
             );
         }
+    }
+
+    /// Runs `f` with `RENO_THREADS` set to `n` (tests of this module that
+    /// read it take turns).
+    fn with_threads<R>(n: &str, f: impl FnOnce() -> R) -> R {
+        static TURN: Mutex<()> = Mutex::new(());
+        let _turn = TURN
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let before = std::env::var_os("RENO_THREADS");
+        std::env::set_var("RENO_THREADS", n);
+        let r = f();
+        match before {
+            Some(v) => std::env::set_var("RENO_THREADS", v),
+            None => std::env::remove_var("RENO_THREADS"),
+        }
+        r
+    }
+
+    #[test]
+    fn helpers_are_granted_only_to_idle_callers_with_a_free_core() {
+        with_threads("1", || assert!(borrow_helper().is_none(), "one thread"));
+        with_threads("2", || {
+            let h = borrow_helper().expect("an idle caller with two threads");
+            assert!(borrow_helper().is_none(), "one helper per caller");
+            let (inner, outer) = h.join(|| borrow_helper().is_some(), || 7);
+            assert_eq!((inner.unwrap(), outer), (false, 7), "helpers cannot nest");
+            assert!(borrow_helper().is_some(), "the grant ends with the join");
+            let in_pool = par_map(&[0u8, 1], |_| borrow_helper().is_some());
+            assert_eq!(in_pool, [false, false], "pool workers never borrow");
+            let inline = par_map(&[0u8], |_| borrow_helper().is_some());
+            assert_eq!(
+                inline,
+                [true],
+                "a job run inline keeps the caller's standing"
+            );
+            let detached =
+                try_par_map_deadline(vec![0u8], None, |_, _| borrow_helper().is_some(), |_, _| {});
+            assert_eq!(detached[0], Ok(false), "watchdog jobs never borrow");
+        });
+    }
+
+    #[test]
+    fn a_helper_panic_is_returned_and_a_main_panic_propagates() {
+        with_threads("2", || {
+            let (h, m) = quietly(|| {
+                borrow_helper()
+                    .expect("granted")
+                    .join(|| -> u8 { panic!("helper down") }, || 3)
+            });
+            assert!(h.is_err());
+            assert_eq!(m, 3);
+            let caught = quietly(|| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    borrow_helper()
+                        .expect("granted")
+                        .join(|| 1, || -> u8 { panic!("main down") })
+                }))
+            });
+            let payload = caught.expect_err("main's panic propagates");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"main down"));
+            assert!(borrow_helper().is_some(), "an unwound grant is returned");
+        });
     }
 
     #[test]

@@ -1,13 +1,14 @@
 use crate::{ExactSegment, FaultRecovery, IntervalStat, SampleError, SampledResult, SegmentFault};
-use reno_func::{
-    BlockCursor, Checkpoint, Cpu, DecodedProgram, DynInst, ExecError, ExecObserver, Memory,
-};
+use reno_func::{Checkpoint, Cpu, DecodedProgram, DynInst, ExecError, ExecObserver, Memory};
 use reno_isa::Program;
 use reno_mem::MemHierarchy;
 use reno_par::{run_caught, try_par_map, JobPanic};
 use reno_sim::{classify_control, MachineConfig, SampleMark, SimResult, Simulator, WarmState};
 use reno_trace::PipelineTrace;
 use reno_uarch::FrontEnd;
+use walk::Walk;
+
+mod walk;
 
 /// `reno-chaos` site: phase-1 checkpoint serialization, context = the
 /// 1-based checkpoint ordinal. `corrupt` poisons the stored bytes (caught
@@ -795,39 +796,17 @@ fn simulate_head(program: &Program, cfg: &MachineConfig, sc: &SampleConfig) -> H
     }
 }
 
-/// Functionally advances `cpu` to dynamic instruction `until` (or `halt`)
-/// block-at-a-time, feeding the shadow profile every instruction and the
-/// warming hooks every instruction at or past `warm_from`. Each block-engine
-/// advance stops at the next snapshot instant, at `warm_from` and at
-/// `until`, so every snapshot sees exactly the instructions before it.
-#[allow(clippy::too_many_arguments)]
-fn fast_forward(
-    cpu: &mut Cpu,
-    dp: &mut DecodedProgram<'_>,
-    cur: &mut BlockCursor,
-    warm: &mut WarmState,
-    warmer: &mut Warmer,
-    shadow: &mut Shadow,
-    bounds: &mut Boundaries,
-    until: u64,
-    warm_from: u64,
-) -> Result<(), ExecError> {
-    while !cpu.halted() && cpu.executed() < until {
-        let at = cpu.executed();
-        bounds.cross(at, &shadow.cum);
-        let stop = until.min(bounds.next_instant());
-        if at < warm_from {
-            cpu.advance_observed(dp, cur, stop.min(warm_from), &mut *shadow)?;
-        } else {
-            let mut obs = Warming {
-                shadow: &mut *shadow,
-                warmer: &mut *warmer,
-                warm: &mut *warm,
-            };
-            cpu.advance_observed(dp, cur, stop, &mut obs)?;
-        }
-    }
-    Ok(())
+/// Where segment 0 takes its head window from.
+#[derive(Clone, Copy)]
+enum HeadSource<'a> {
+    /// Simulate it.
+    Simulate,
+    /// A head a helper thread simulated while the ladder's length probe
+    /// ran: taken exactly where it would have been simulated, after the
+    /// same failpoint, and handed back as this rung's own head.
+    Ahead(&'a HeadRun),
+    /// A head an earlier rung measured for this program and config.
+    Reuse(&'a HeadRun),
 }
 
 /// Runs one segment: restore (or start fresh), measure the head stratum if
@@ -835,8 +814,10 @@ fn fast_forward(
 /// the segment's strata, closing with a functional run to the segment end
 /// so every owned stratum's shadow features are snapped.
 ///
-/// `reuse` is a head window already measured for this program and config
-/// (by another rung), taken instead of simulating the head again.
+/// When a helper thread is free ([`reno_par::borrow_helper`]), it walks
+/// the segment functionally ahead of this thread, which replays the walk
+/// and runs the windows; otherwise this thread walks inline. Both give the
+/// same bytes.
 ///
 /// # Errors
 ///
@@ -852,10 +833,9 @@ fn run_segment(
     base_mem: &Memory,
     total: u64,
     job: &SegmentJob,
-    reuse: Option<&HeadRun>,
+    head: HeadSource<'_>,
 ) -> Result<SegmentOut, SampleError> {
-    let grid_start = sc.head;
-    let mut cpu = match &job.ck {
+    let cpu = match &job.ck {
         Some(bytes) => {
             // The chaos copy exists only while a spec is armed or recording
             // is on; the production path deserializes the shared bytes
@@ -874,10 +854,40 @@ fn run_segment(
         None => Cpu::new(program),
     };
     debug_assert_eq!(cpu.executed(), job.start);
-    let mut dp = DecodedProgram::new(program);
-    let mut cur = BlockCursor::new();
+    let run = |walk: Walk<'_>| walk_segment(program, cfg, sc, period, total, job, head, walk);
+    Ok(match reno_par::borrow_helper() {
+        Some(helper) => {
+            let (producer, replay) = walk::link(program, cfg, walk::AHEAD, job.start);
+            let stops: Vec<u64> = job.windows.iter().map(|&(_, pos)| pos).collect();
+            let (walked, out) = helper.join(
+                || walk::walk_ahead(program, cpu, &stops, job.seg_end, producer),
+                || run(Walk::Ahead(replay)),
+            );
+            // A helper that died mid-walk already failed the replay; one
+            // that died after ending its walk is still a bug to surface.
+            if let Err(payload) = walked {
+                std::panic::resume_unwind(payload);
+            }
+            out
+        }
+        None => run(Walk::inline(program, cfg, cpu)),
+    })
+}
+
+/// [`run_segment`] past the restore, over either kind of [`Walk`].
+#[allow(clippy::too_many_arguments)]
+fn walk_segment(
+    program: &Program,
+    cfg: &MachineConfig,
+    sc: &SampleConfig,
+    period: u64,
+    total: u64,
+    job: &SegmentJob,
+    head: HeadSource<'_>,
+    mut walk: Walk<'_>,
+) -> SegmentOut {
+    let grid_start = sc.head;
     let mut warmer = Warmer::new(cfg);
-    let mut shadow = Shadow::new(cfg);
     let mut bounds = Boundaries::new(grid_start + job.strata.0 * period, period);
     let mut out = SegmentOut {
         head: None,
@@ -897,9 +907,13 @@ fn run_segment(
     // structures it trained.
     let mut warm = if job.measure_head {
         let mut simulated = None;
-        let head = match reuse {
-            Some(h) => h,
-            None => {
+        let head = match head {
+            HeadSource::Reuse(h) => h,
+            HeadSource::Ahead(h) => {
+                reno_chaos::failpoint!(FP_MEASURE_WINDOW, job.index);
+                simulated.insert(h.clone())
+            }
+            HeadSource::Simulate => {
                 reno_chaos::failpoint!(FP_MEASURE_WINDOW, job.index);
                 simulated.insert(simulate_head(program, cfg, sc))
             }
@@ -917,24 +931,14 @@ fn run_segment(
 
     for &(s, pos) in &job.windows {
         reno_chaos::failpoint!(FP_WARM_REPLAY, job.index);
-        if let Err(e) = fast_forward(
-            &mut cpu,
-            &mut dp,
-            &mut cur,
-            &mut warm,
-            &mut warmer,
-            &mut shadow,
-            &mut bounds,
-            pos,
-            warmed_until,
-        ) {
+        if let Err(e) = walk.forward(pos, warmed_until, &mut warm, &mut warmer, &mut bounds) {
             out.error = Some(e);
-            return Ok(out);
+            return out;
         }
-        debug_assert_eq!(cpu.executed(), pos, "planner guarantees pos < total");
+        debug_assert_eq!(walk.executed(), pos, "planner guarantees pos < total");
 
         // Detailed window: warmup + measure + drain pad, clipped to the
-        // instruction cap, run from a clone of the live machine.
+        // instruction cap, run from a copy of the machine at `pos`.
         reno_chaos::failpoint!(FP_MEASURE_WINDOW, job.index);
         let budget = (sc.detailed_per_period() + DRAIN_PAD).min(sc.max_insts - pos);
         let end = sc.detailed_per_period().min(budget);
@@ -942,7 +946,7 @@ fn run_segment(
         warm.mem.reset_timing();
         warm.mem.reset_stats();
         warm.frontend.reset_stats();
-        let sim = Simulator::from_cpu_warm(program, cfg.clone(), cpu.clone(), budget, warm)
+        let sim = Simulator::from_cpu_warm(program, cfg.clone(), walk.machine(), budget, warm)
             .with_measure_window(start, end);
         let (r, trained) = sim.run_with_state(INTERVAL_MAX_CYCLES);
         warm = trained;
@@ -970,25 +974,15 @@ fn run_segment(
     // Close the segment functionally (no warming needed: nothing detailed
     // runs past this point in this segment) and take the final boundary
     // snapshot.
-    if let Err(e) = fast_forward(
-        &mut cpu,
-        &mut dp,
-        &mut cur,
-        &mut warm,
-        &mut warmer,
-        &mut shadow,
-        &mut bounds,
-        job.seg_end,
-        u64::MAX,
-    ) {
+    if let Err(e) = walk.forward(job.seg_end, u64::MAX, &mut warm, &mut warmer, &mut bounds) {
         out.error = Some(e);
-        return Ok(out);
+        return out;
     }
-    bounds.cross(cpu.executed(), &shadow.cum);
+    bounds.cross(walk.executed(), &walk.cum());
 
     // Extract per-range shadow features. Cumulative counts are relative to
     // the segment head, so only within-segment deltas are taken.
-    let final_cum = shadow.cum;
+    let final_cum = walk.cum();
     let feat = |a: u64, b: u64| -> Option<Features> {
         let fa = bounds.at(a, total, &final_cum)?;
         let fb = bounds.at(b, total, &final_cum)?;
@@ -1008,7 +1002,7 @@ fn run_segment(
     if job.index == 0 && grid_start > 0 {
         out.head_feat = feat(0, grid_start.min(total));
     }
-    Ok(out)
+    out
 }
 
 /// Deterministic exact-replay fallback for one failed segment: re-simulate
@@ -1351,22 +1345,21 @@ pub fn run_sampled(program: &Program, cfg: MachineConfig, sc: &SampleConfig) -> 
         cfg,
         sc,
         || functional_pass(program, sc, sc.period),
-        None,
+        HeadSource::Simulate,
     )
     .0
 }
 
 /// [`run_sampled`] with the phase-1 pass supplied by `pass` (the direct
 /// functional pass, or one derived from the ladder's checkpoint grid) and
-/// an optional already-measured head window to reuse, also handing back
-/// the head window it simulated (`None` when it reused one, or lost it to
-/// a fault).
+/// the head window taken from `head`, also handing back the head window it
+/// measured itself (`None` when it reused one, or lost it to a fault).
 fn sample_isolated(
     program: &Program,
     cfg: MachineConfig,
     sc: &SampleConfig,
     pass: impl Fn() -> CheckpointPass,
-    reuse: Option<&HeadRun>,
+    head: HeadSource<'_>,
 ) -> (SampledResult, Option<HeadRun>) {
     // Phase 1 runs under the same isolation discipline as the segment
     // workers: a panic is caught, retried once, and a persistent failure
@@ -1381,7 +1374,7 @@ fn sample_isolated(
     };
     let (error, pass) = match pass {
         Ok(pass) => {
-            match sample_with_pass(program, cfg.clone(), sc, &pass, reuse) {
+            match sample_with_pass(program, cfg.clone(), sc, &pass, head) {
                 Ok((mut r, head)) => {
                     if let Some(recovery) = healed {
                         r.segment_faults.insert(
@@ -1443,17 +1436,17 @@ pub fn run_sampled_with_pass(
     sc: &SampleConfig,
     pass: &CheckpointPass,
 ) -> Result<SampledResult, PassError> {
-    sample_with_pass(program, cfg, sc, pass, None).map(|(r, _)| r)
+    sample_with_pass(program, cfg, sc, pass, HeadSource::Simulate).map(|(r, _)| r)
 }
 
-/// [`run_sampled_with_pass`] with an optional head window to reuse (see
-/// [`run_segment`]), also handing back the head window it simulated.
+/// [`run_sampled_with_pass`] with the head window taken from `head`, also
+/// handing back the head window it measured itself.
 fn sample_with_pass(
     program: &Program,
     cfg: MachineConfig,
     sc: &SampleConfig,
     pass: &CheckpointPass,
-    reuse: Option<&HeadRun>,
+    head: HeadSource<'_>,
 ) -> Result<(SampledResult, Option<HeadRun>), PassError> {
     sc.validate();
     let period = sc.period;
@@ -1543,7 +1536,7 @@ fn sample_with_pass(
         Err(p) => Err(SampleError::SegmentPanic(p.message)),
     };
     let first = try_par_map(&jobs, |job| {
-        run_segment(program, &cfg, sc, period, &base_mem, total, job, reuse)
+        run_segment(program, &cfg, sc, period, &base_mem, total, job, head)
     });
     let mut segment_faults: Vec<SegmentFault> = Vec::new();
     let mut exact_segments: Vec<ExactSegment> = Vec::new();
@@ -1553,7 +1546,7 @@ fn sample_with_pass(
             Ok(out) => outs.push(out),
             Err(error) => {
                 let retried = flatten(run_caught(|| {
-                    run_segment(program, &cfg, sc, period, &base_mem, total, job, reuse)
+                    run_segment(program, &cfg, sc, period, &base_mem, total, job, head)
                 }));
                 match retried {
                     Ok(out) => {
@@ -1581,7 +1574,7 @@ fn sample_with_pass(
     }
 
     // Merge, in segment order (== program order).
-    let mut head = None;
+    let mut head_stat = None;
     let mut head_run = None;
     let mut ft = FeatureTable {
         windows: Vec::new(),
@@ -1597,7 +1590,7 @@ fn sample_with_pass(
     let mut trace: Option<Box<PipelineTrace>> = cfg.trace.then(Box::default);
     for out in outs {
         if out.head.is_some() {
-            head = out.head;
+            head_stat = out.head;
         }
         if out.head_run.is_some() {
             head_run = out.head_run;
@@ -1627,7 +1620,7 @@ fn sample_with_pass(
         .all(|w| w[0].start_inst < w[1].start_inst));
 
     let mut result = SampledResult {
-        head,
+        head: head_stat,
         intervals,
         grid_start: sc.head,
         period,
@@ -1936,26 +1929,48 @@ impl LengthProbe {
 /// the anchor), so the choice is deterministic.
 pub fn run_sampled_auto(program: &Program, cfg: MachineConfig, max_insts: u64) -> SampledResult {
     // Length probe: rungs that cannot field enough windows are skipped
-    // instead of run and discarded.
-    let probe = LengthProbe::run(program, max_insts);
+    // instead of run and discarded. Every rung measures the same cold head
+    // window (its shape does not depend on the sampling period), so a free
+    // helper thread simulates it while the probe runs.
+    let (probe, mut ahead) = match reno_par::borrow_helper() {
+        Some(helper) => {
+            let sc = ladder_config(LADDER_DENSE_PERIOD, max_insts);
+            let (head, probe) = helper.join(
+                || simulate_head(program, &cfg, &sc),
+                || LengthProbe::run(program, max_insts),
+            );
+            // A helper that panicked leaves the head to the first rung.
+            (probe, head.ok())
+        }
+        None => (LengthProbe::run(program, max_insts), None),
+    };
     let total = probe.total;
     let fields_windows =
         |period: u64| total.saturating_sub(LADDER_HEAD) / period >= LADDER_MIN_WINDOWS;
 
-    // Every rung measures the same cold head window: the first rung to
-    // run simulates it, the next reuses it.
+    // The first rung to run takes the head (simulated ahead, or itself),
+    // the next reuses it.
     let mut head: Option<HeadRun> = None;
     let mut rung = |period: u64| {
         let sc = ladder_config(period, max_insts);
+        let source = match (&head, &ahead) {
+            (Some(h), _) => HeadSource::Reuse(h),
+            (None, Some(h)) => HeadSource::Ahead(h),
+            (None, None) => HeadSource::Simulate,
+        };
         let (r, measured) = sample_isolated(
             program,
             cfg.clone(),
             &sc,
             || probe.pass_for(program, &sc),
-            head.as_ref(),
+            source,
         );
         if head.is_none() {
             head = measured;
+        }
+        if head.is_some() {
+            // The rung's own copy serves the next rung.
+            ahead = None;
         }
         (r, head.as_ref().map(|h| h.anchor))
     };
@@ -2013,7 +2028,7 @@ pub fn run_sampled_auto(program: &Program, cfg: MachineConfig, max_insts: u64) -
     }
 
     // The full-detail run needs no checkpoint or head: free them first.
-    drop((probe, head));
+    drop((probe, head, ahead));
     full_detail(program, cfg, max_insts)
 }
 
@@ -2364,7 +2379,7 @@ mod tests {
             cfg(),
             &sc,
             || CheckpointPass::compute(&w.program, &sc),
-            None,
+            HeadSource::Simulate,
         );
         assert!(r.head.is_some() && r.segment_faults.is_empty());
         let standalone = rare_event_anchor(&w.program, &cfg(), LADDER_HEAD);
@@ -2383,14 +2398,8 @@ mod tests {
         // the head's end, so it runs on exactly the structures the head
         // trained.
         let p = kernel(60_000);
-        let run = |mc: &MachineConfig, sc: &SampleConfig, reuse: Option<&HeadRun>| {
-            sample_isolated(
-                &p,
-                mc.clone(),
-                sc,
-                || CheckpointPass::compute(&p, sc),
-                reuse,
-            )
+        let run = |mc: &MachineConfig, sc: &SampleConfig, head: HeadSource<'_>| {
+            sample_isolated(&p, mc.clone(), sc, || CheckpointPass::compute(&p, sc), head)
         };
         let mut traced = cfg();
         traced.trace = true;
@@ -2401,11 +2410,20 @@ mod tests {
             let sc1 = SampleConfig::new(256, 512, 12288)
                 .with_head(4096)
                 .without_jitter();
-            let head = run(&mc, &sc0, None).1.expect("segment 0 measured the head");
-            let (fresh, _) = run(&mc, &sc1, None);
-            let (reused, _) = run(&mc, &sc1, Some(&head));
+            let head = run(&mc, &sc0, HeadSource::Simulate)
+                .1
+                .expect("segment 0 measured the head");
+            let (fresh, fresh_head) = run(&mc, &sc1, HeadSource::Simulate);
+            let (reused, reused_head) = run(&mc, &sc1, HeadSource::Reuse(&head));
+            let (ahead, ahead_head) = run(&mc, &sc1, HeadSource::Ahead(&head));
             assert!(fresh.head.is_some() && fresh.intervals.len() > 12);
             assert_eq!(format!("{fresh:?}"), format!("{reused:?}"));
+            assert_eq!(format!("{fresh:?}"), format!("{ahead:?}"));
+            // A head simulated ahead counts as the rung's own, for the
+            // next rung to reuse; a reused one is not handed on again.
+            assert!(reused_head.is_none());
+            let (f, a) = (fresh_head.unwrap(), ahead_head.unwrap());
+            assert_eq!((f.stat, f.retired, f.anchor), (a.stat, a.retired, a.anchor));
         }
     }
 

@@ -42,6 +42,22 @@
 //!   predictor, BTB and RAS via [`reno_uarch::FrontEnd::process`]
 //!   (classified exactly as the fetch stage would, via
 //!   [`reno_sim::classify_control`]).
+//! * **Walk ahead**: when a core is free ([`reno_par::borrow_helper`] —
+//!   never inside a pool job, so only a segment run outside any fan-out,
+//!   such as a single-segment ladder rung, qualifies), a helper thread runs
+//!   the segment's functional model and shadow profile ahead of the caller
+//!   and streams the walk to it, so the caller only replays the steps into
+//!   the warming hooks and runs the windows:
+//!
+//! ```text
+//!  helper  | walk + shadow, window 1 | walk + shadow, window 2 | ...      | end
+//!          |     steps + machine -----------> steps + machine ----------> ...
+//!  caller  | head | replay + warm | window 1 | replay + warm | window 2 | ...
+//! ```
+//!
+//!   The caller takes every profile snapshot and every warming touch
+//!   exactly where the inline walk would, so the result is the same bytes
+//!   either way. Without a free core the caller walks inline.
 //! * **Warmup → measure**: the detailed simulator, built around the
 //!   carried warm structures by [`reno_sim::Simulator::from_cpu_warm`],
 //!   runs `warmup + interval` instructions with
@@ -66,7 +82,10 @@
 //! program: the dense rung reuses the sparse rung's (its measurement,
 //! trained structures and trace), and the rare-event anchor of the
 //! ladder's blindness gate comes from an extra counter mark inside it
-//! rather than a second detailed run of the head.
+//! rather than a second detailed run of the head. When a core is free, a
+//! helper thread simulates that head while the length probe runs, and the
+//! first rung takes it where it would have simulated it (after the same
+//! failpoint).
 //!
 //! The whole-run estimate uses the ratio estimator (total measured cycles /
 //! total measured instructions) and reports a 95% confidence bound from the

@@ -286,6 +286,22 @@ fn classify_control_op(op: Opcode, rs1: Reg) -> ControlKind {
     }
 }
 
+/// Parses a `RENO_FEED` value: `None` (unset or empty) keeps the config's
+/// [`MachineConfig::batched_feed`], `batched` / `perinst` force a feed, and
+/// anything else is an error listing the valid values — a typo must not
+/// silently test the path it meant to avoid.
+fn parse_feed(v: Option<&str>) -> Result<Option<bool>, String> {
+    match v.map(str::trim) {
+        None | Some("") => Ok(None),
+        Some("batched") => Ok(Some(true)),
+        Some("perinst" | "per-inst" | "per_inst") => Ok(Some(false)),
+        Some(other) => Err(format!(
+            "RENO_FEED={other:?} is not an oracle feed; valid values: batched, perinst \
+             (also per-inst, per_inst), or unset for the config's choice"
+        )),
+    }
+}
+
 /// The cycle-level out-of-order core. See the crate docs for the model, the
 /// event-driven scheduler, and an end-to-end example.
 pub struct Simulator<'p> {
@@ -471,11 +487,10 @@ impl<'p> Simulator<'p> {
         // whatever slack that leaves.
         let dyn_ring_size = (cfg.rob_size + cfg.fetch_width * 5).next_power_of_two();
         let start_seq = cpu.executed();
-        let batched_feed = match std::env::var("RENO_FEED").as_deref() {
-            Ok("perinst" | "per-inst" | "per_inst") => false,
-            Ok("batched") => true,
-            _ => cfg.batched_feed,
-        };
+        let feed = std::env::var_os("RENO_FEED").map(|v| v.to_string_lossy().into_owned());
+        let batched_feed = parse_feed(feed.as_deref())
+            .unwrap_or_else(|e| panic!("{e}"))
+            .unwrap_or(cfg.batched_feed);
         let nop_class = RenameClass::of(&reno_isa::Inst::alu_ri(
             Opcode::Addi,
             Reg::ZERO,
@@ -1951,6 +1966,23 @@ mod tests {
     use reno_core::RenoConfig;
     use reno_func::run_to_completion;
     use reno_isa::Asm;
+
+    #[test]
+    fn malformed_feed_is_rejected_loudly() {
+        assert_eq!(parse_feed(None), Ok(None));
+        assert_eq!(parse_feed(Some("")), Ok(None));
+        assert_eq!(parse_feed(Some("batched")), Ok(Some(true)));
+        for per_inst in ["perinst", "per-inst", "per_inst"] {
+            assert_eq!(parse_feed(Some(per_inst)), Ok(Some(false)));
+        }
+        for bad in ["batch", "PERINST", "on", "1"] {
+            let e = parse_feed(Some(bad)).unwrap_err();
+            assert!(
+                e.contains(&format!("{bad:?}")) && e.contains("batched") && e.contains("perinst"),
+                "{e}"
+            );
+        }
+    }
 
     fn loop_program(iters: i64) -> Program {
         let mut a = Asm::named("loop");
