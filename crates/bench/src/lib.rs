@@ -33,6 +33,7 @@
 //! worker count (`RENO_THREADS=1` forces the sequential path).
 
 use reno_core::RenoConfig;
+use reno_par::Knob;
 use reno_sim::{MachineConfig, SimResult, Simulator};
 use reno_workloads::{Scale, Workload};
 
@@ -58,25 +59,21 @@ pub const MAX_CYCLES: u64 = 1 << 28;
 /// Panics, naming the valid values, when `RENO_SCALE` is set to anything
 /// else: a typo must not silently run the big, slow default scale.
 pub fn scale_from_env() -> Scale {
-    let v = std::env::var_os("RENO_SCALE").map(|v| v.to_string_lossy().into_owned());
-    parse_scale(v.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+    SCALE.read().unwrap_or(Scale::Default)
 }
 
-/// Parses a `RENO_SCALE` value; `None` (unset or empty) means
-/// [`Scale::Default`], any other spelling is an error listing the valid
-/// values.
-fn parse_scale(v: Option<&str>) -> Result<Scale, String> {
-    match v.map(str::trim) {
-        None | Some("" | "default") => Ok(Scale::Default),
-        Some("tiny") => Ok(Scale::Tiny),
-        Some("small") => Ok(Scale::Small),
-        Some("large") => Ok(Scale::Large),
-        Some(other) => Err(format!(
-            "RENO_SCALE={other:?} is not a workload scale; valid values: tiny, small, \
-             default, large (unset means default)"
-        )),
-    }
-}
+/// `RENO_SCALE`: the workload scale.
+const SCALE: Knob<Scale> = Knob {
+    name: "RENO_SCALE",
+    valid: "tiny, small, default, large (unset means default)",
+    accept: |s| match s {
+        "tiny" => Some(Scale::Tiny),
+        "small" => Some(Scale::Small),
+        "default" => Some(Scale::Default),
+        "large" => Some(Scale::Large),
+        _ => None,
+    },
+};
 
 /// Runs one workload under one machine configuration.
 pub fn run(w: &Workload, cfg: MachineConfig) -> SimResult {
@@ -195,13 +192,13 @@ mod tests {
 
     #[test]
     fn malformed_scales_are_rejected_loudly() {
-        assert_eq!(parse_scale(None), Ok(Scale::Default));
-        assert_eq!(parse_scale(Some("default")), Ok(Scale::Default));
-        assert_eq!(parse_scale(Some("tiny")), Ok(Scale::Tiny));
-        assert_eq!(parse_scale(Some("small")), Ok(Scale::Small));
-        assert_eq!(parse_scale(Some("large")), Ok(Scale::Large));
+        assert_eq!(SCALE.parse(None), Ok(None), "unset means default");
+        assert_eq!(SCALE.parse(Some("default")), Ok(Some(Scale::Default)));
+        assert_eq!(SCALE.parse(Some("tiny")), Ok(Some(Scale::Tiny)));
+        assert_eq!(SCALE.parse(Some("small")), Ok(Some(Scale::Small)));
+        assert_eq!(SCALE.parse(Some("large")), Ok(Some(Scale::Large)));
         for bad in ["smal", "Tiny", "defualt"] {
-            let e = parse_scale(Some(bad)).unwrap_err();
+            let e = SCALE.parse(Some(bad)).unwrap_err();
             assert!(
                 e.contains(&format!("{bad:?}"))
                     && ["tiny", "small", "default", "large"]

@@ -44,36 +44,6 @@ pub mod spec;
 pub mod store;
 pub mod sweep;
 
-/// Reads the env knob `name` through its parser: `None` when unset (the
-/// caller keeps its default).
-///
-/// # Panics
-///
-/// Panics with the parser's message, which names the valid values, when
-/// the knob is set to a malformed value: a typo must not silently fall
-/// back to a default.
-fn env_knob<T>(name: &str, parse: fn(Option<&str>) -> Result<Option<T>, String>) -> Option<T> {
-    let v = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-    parse(v.as_deref()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The shared shape of the env knob parsers: `None` (unset or empty) means
-/// the default, a value `parse` accepts is used, anything else is an error
-/// naming the knob and its `valid` values.
-fn parse_knob<T>(
-    name: &str,
-    v: Option<&str>,
-    valid: &str,
-    parse: impl FnOnce(&str) -> Option<T>,
-) -> Result<Option<T>, String> {
-    match v.map(str::trim) {
-        None | Some("") => Ok(None),
-        Some(s) => parse(s)
-            .map(Some)
-            .ok_or_else(|| format!("{name}={s:?} is malformed; valid values: {valid}")),
-    }
-}
-
 /// `reno-chaos` site: the content-addressed object write in [`Store::put`].
 pub const FP_STORE_OBJECT: &str = "dse:store-object";
 /// `reno-chaos` site: journal header + event appends ([`Journal`]).

@@ -30,6 +30,7 @@
 //! ```
 
 use crate::store::fnv1a64;
+use reno_par::Knob;
 use std::fs::{self, File};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -72,35 +73,29 @@ impl LeaseConfig {
     /// `RENO_DSE_LEASE_WAIT_MS`.
     pub fn from_env() -> LeaseConfig {
         let mut cfg = LeaseConfig::default();
-        if let Some(ms) = crate::env_knob("RENO_DSE_LEASE_TTL_MS", parse_ttl_ms) {
+        if let Some(ms) = LEASE_TTL_MS.read() {
             cfg.ttl = Duration::from_millis(ms);
         }
-        if let Some(ms) = crate::env_knob("RENO_DSE_LEASE_WAIT_MS", parse_wait_ms) {
+        if let Some(ms) = LEASE_WAIT_MS.read() {
             cfg.max_wait = Duration::from_millis(ms);
         }
         cfg
     }
 }
 
-/// Parses `RENO_DSE_LEASE_TTL_MS` (see [`crate::parse_knob`]).
-fn parse_ttl_ms(v: Option<&str>) -> Result<Option<u64>, String> {
-    crate::parse_knob(
-        "RENO_DSE_LEASE_TTL_MS",
-        v,
-        "a whole number of milliseconds, or unset for 30000",
-        |s| s.parse().ok(),
-    )
-}
+/// `RENO_DSE_LEASE_TTL_MS`: the journal lease's time to live.
+const LEASE_TTL_MS: Knob<u64> = Knob {
+    name: "RENO_DSE_LEASE_TTL_MS",
+    valid: "a whole number of milliseconds, or unset for 30000",
+    accept: |s| s.parse().ok(),
+};
 
-/// Parses `RENO_DSE_LEASE_WAIT_MS` (see [`crate::parse_knob`]).
-fn parse_wait_ms(v: Option<&str>) -> Result<Option<u64>, String> {
-    crate::parse_knob(
-        "RENO_DSE_LEASE_WAIT_MS",
-        v,
-        "a whole number of milliseconds, or unset for 120000",
-        |s| s.parse().ok(),
-    )
-}
+/// `RENO_DSE_LEASE_WAIT_MS`: how long to wait for a live lease.
+const LEASE_WAIT_MS: Knob<u64> = Knob {
+    name: "RENO_DSE_LEASE_WAIT_MS",
+    valid: "a whole number of milliseconds, or unset for 120000",
+    accept: |s| s.parse().ok(),
+};
 
 /// Milliseconds since the Unix epoch (the lease expiry clock).
 pub fn now_unix_ms() -> u64 {
@@ -485,22 +480,24 @@ mod tests {
 
     #[test]
     fn malformed_lease_knobs_are_rejected_loudly() {
-        for parse in [parse_ttl_ms, parse_wait_ms] {
-            assert_eq!(parse(None), Ok(None));
-            assert_eq!(parse(Some(" ")), Ok(None));
-            assert_eq!(parse(Some("2500")), Ok(Some(2500)));
+        for knob in [LEASE_TTL_MS, LEASE_WAIT_MS] {
+            assert_eq!(knob.parse(None), Ok(None));
+            assert_eq!(knob.parse(Some(" ")), Ok(None));
+            assert_eq!(knob.parse(Some("2500")), Ok(Some(2500)));
             for bad in ["30s", "-5", "2.5", "forever"] {
-                let e = parse(Some(bad)).unwrap_err();
+                let e = knob.parse(Some(bad)).unwrap_err();
                 assert!(
                     e.contains(&format!("{bad:?}")) && e.contains("milliseconds"),
                     "{e}"
                 );
             }
         }
-        assert!(parse_ttl_ms(Some("x"))
+        assert!(LEASE_TTL_MS
+            .parse(Some("x"))
             .unwrap_err()
             .starts_with("RENO_DSE_LEASE_TTL_MS="));
-        assert!(parse_wait_ms(Some("x"))
+        assert!(LEASE_WAIT_MS
+            .parse(Some("x"))
             .unwrap_err()
             .starts_with("RENO_DSE_LEASE_WAIT_MS="));
     }

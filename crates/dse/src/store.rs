@@ -24,6 +24,7 @@
 //! disk-full) is **not** fatal: the store logs it and the sweep degrades to
 //! cache-less operation for that entry.
 
+use reno_par::Knob;
 use std::fs::{self, File};
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
@@ -240,15 +241,12 @@ pub struct Store {
     pub stats: StoreStats,
 }
 
-/// Parses `RENO_DSE_QUARANTINE_KEEP` (see [`crate::parse_knob`]).
-fn parse_quarantine_keep(v: Option<&str>) -> Result<Option<usize>, String> {
-    crate::parse_knob(
-        "RENO_DSE_QUARANTINE_KEEP",
-        v,
-        "a whole number of quarantined objects to keep, or unset for 8",
-        |s| s.parse().ok(),
-    )
-}
+/// `RENO_DSE_QUARANTINE_KEEP`: how many quarantined objects to retain.
+const QUARANTINE_KEEP: Knob<usize> = Knob {
+    name: "RENO_DSE_QUARANTINE_KEEP",
+    valid: "a whole number of quarantined objects to keep, or unset for 8",
+    accept: |s| s.parse().ok(),
+};
 
 impl Store {
     /// Opens (creating if needed) a store rooted at `root`.
@@ -257,8 +255,7 @@ impl Store {
         for sub in ["objects", "tmp", "quarantine", "journal"] {
             fs::create_dir_all(root.join(sub))?;
         }
-        let quarantine_keep = crate::env_knob("RENO_DSE_QUARANTINE_KEEP", parse_quarantine_keep)
-            .unwrap_or(DEFAULT_QUARANTINE_KEEP);
+        let quarantine_keep = QUARANTINE_KEEP.read().unwrap_or(DEFAULT_QUARANTINE_KEEP);
         Ok(Store {
             root,
             tmp_seq: AtomicU64::new(0),
@@ -477,12 +474,12 @@ mod tests {
 
     #[test]
     fn malformed_quarantine_keep_is_rejected_loudly() {
-        assert_eq!(parse_quarantine_keep(None), Ok(None));
-        assert_eq!(parse_quarantine_keep(Some("")), Ok(None));
-        assert_eq!(parse_quarantine_keep(Some("0")), Ok(Some(0)));
-        assert_eq!(parse_quarantine_keep(Some("12")), Ok(Some(12)));
+        assert_eq!(QUARANTINE_KEEP.parse(None), Ok(None));
+        assert_eq!(QUARANTINE_KEEP.parse(Some("")), Ok(None));
+        assert_eq!(QUARANTINE_KEEP.parse(Some("0")), Ok(Some(0)));
+        assert_eq!(QUARANTINE_KEEP.parse(Some("12")), Ok(Some(12)));
         for bad in ["all", "-1", "2.0", "8 files"] {
-            let e = parse_quarantine_keep(Some(bad)).unwrap_err();
+            let e = QUARANTINE_KEEP.parse(Some(bad)).unwrap_err();
             assert!(
                 e.contains(&format!("{bad:?}")) && e.contains("whole number"),
                 "{e}"

@@ -47,7 +47,7 @@ use crate::journal::{Journal, JournalEvent};
 use crate::lock::LeaseConfig;
 use crate::spec::{Mode, SweepSpec};
 use crate::store::{fnv1a64, EntryKind, Store, StoreError};
-use reno_par::{try_par_map_deadline, CancelToken, JobError};
+use reno_par::{try_par_map_deadline, CancelToken, JobError, Knob};
 use reno_sample::{run_sampled_with_pass, CheckpointPass, SampleConfig};
 use reno_sim::{MachineConfig, Simulator};
 use reno_workloads::{all_workloads, Workload};
@@ -375,10 +375,10 @@ fn cell_deadline(spec: &SweepSpec, opts: &SweepOptions) -> Duration {
     if let Some(ms) = opts.deadline_ms {
         return Duration::from_millis(ms);
     }
-    if let Some(ms) = crate::env_knob("RENO_DSE_CELL_DEADLINE_MS", parse_deadline_ms) {
+    if let Some(ms) = CELL_DEADLINE_MS.read() {
         return Duration::from_millis(ms);
     }
-    let mult = crate::env_knob("RENO_DSE_DEADLINE_MULT", parse_deadline_mult).unwrap_or(1.0);
+    let mult = DEADLINE_MULT.read().unwrap_or(1.0);
     let base_secs = match &spec.mode {
         // Assume a pathologically slow host still retires 100k inst/s of
         // detailed simulation; floor of 30s for tiny fuels.
@@ -388,29 +388,23 @@ fn cell_deadline(spec: &SweepSpec, opts: &SweepOptions) -> Duration {
     Duration::from_secs_f64(base_secs as f64 * mult)
 }
 
-/// Parses `RENO_DSE_CELL_DEADLINE_MS` (see [`crate::parse_knob`]).
-fn parse_deadline_ms(v: Option<&str>) -> Result<Option<u64>, String> {
-    crate::parse_knob(
-        "RENO_DSE_CELL_DEADLINE_MS",
-        v,
-        "a whole number of milliseconds, or unset for the fuel-derived deadline",
-        |s| s.parse().ok(),
-    )
-}
+/// `RENO_DSE_CELL_DEADLINE_MS`: a flat per-cell deadline.
+const CELL_DEADLINE_MS: Knob<u64> = Knob {
+    name: "RENO_DSE_CELL_DEADLINE_MS",
+    valid: "a whole number of milliseconds, or unset for the fuel-derived deadline",
+    accept: |s| s.parse().ok(),
+};
 
-/// Parses `RENO_DSE_DEADLINE_MULT` (see [`crate::parse_knob`]).
-fn parse_deadline_mult(v: Option<&str>) -> Result<Option<f64>, String> {
-    crate::parse_knob(
-        "RENO_DSE_DEADLINE_MULT",
-        v,
-        "a number of at least 0.001, or unset for 1",
-        |s| {
-            s.parse::<f64>()
-                .ok()
-                .filter(|m| m.is_finite() && *m >= 0.001)
-        },
-    )
-}
+/// `RENO_DSE_DEADLINE_MULT`: scales the fuel-derived deadline.
+const DEADLINE_MULT: Knob<f64> = Knob {
+    name: "RENO_DSE_DEADLINE_MULT",
+    valid: "a number of at least 0.001, or unset for 1",
+    accept: |s| {
+        s.parse::<f64>()
+            .ok()
+            .filter(|m| m.is_finite() && *m >= 0.001)
+    },
+};
 
 /// Computes one cell (no caching, no catching) — the unit of work the pool
 /// fans out. Sampled cells take the shared pass for their workload.
@@ -793,21 +787,21 @@ mod tests {
 
     #[test]
     fn malformed_deadline_knobs_are_rejected_loudly() {
-        assert_eq!(parse_deadline_ms(None), Ok(None));
-        assert_eq!(parse_deadline_ms(Some("")), Ok(None));
-        assert_eq!(parse_deadline_ms(Some("150")), Ok(Some(150)));
+        assert_eq!(CELL_DEADLINE_MS.parse(None), Ok(None));
+        assert_eq!(CELL_DEADLINE_MS.parse(Some("")), Ok(None));
+        assert_eq!(CELL_DEADLINE_MS.parse(Some("150")), Ok(Some(150)));
         for bad in ["150ms", "-1", "1.5", "soon"] {
-            let e = parse_deadline_ms(Some(bad)).unwrap_err();
+            let e = CELL_DEADLINE_MS.parse(Some(bad)).unwrap_err();
             assert!(
                 e.contains(&format!("{bad:?}")) && e.contains("milliseconds"),
                 "{e}"
             );
         }
-        assert_eq!(parse_deadline_mult(None), Ok(None));
-        assert_eq!(parse_deadline_mult(Some("2.5")), Ok(Some(2.5)));
-        assert_eq!(parse_deadline_mult(Some("0.001")), Ok(Some(0.001)));
+        assert_eq!(DEADLINE_MULT.parse(None), Ok(None));
+        assert_eq!(DEADLINE_MULT.parse(Some("2.5")), Ok(Some(2.5)));
+        assert_eq!(DEADLINE_MULT.parse(Some("0.001")), Ok(Some(0.001)));
         for bad in ["x2", "0", "-3", "inf", "NaN"] {
-            let e = parse_deadline_mult(Some(bad)).unwrap_err();
+            let e = DEADLINE_MULT.parse(Some(bad)).unwrap_err();
             assert!(
                 e.contains(&format!("{bad:?}")) && e.contains("0.001"),
                 "{e}"

@@ -188,7 +188,7 @@ impl Memory {
 
     /// Number of resident (touched) pages.
     pub fn resident_pages(&self) -> usize {
-        self.resident_in_order().count()
+        self.resident().count()
     }
 
     /// Reads one byte.
@@ -279,16 +279,17 @@ impl Memory {
             .collect()
     }
 
-    /// The resident page numbers, ascending, with their contents.
-    fn resident_in_order(&self) -> impl Iterator<Item = (u64, &Page)> {
+    /// The resident page numbers.
+    fn resident(&self) -> impl Iterator<Item = u64> + '_ {
         let low = self.dir.iter().enumerate().flat_map(|(li, leaf)| {
             leaf.iter().flat_map(move |leaf| {
-                leaf.pages.iter().enumerate().filter_map(move |(i, p)| {
-                    p.as_deref().map(|p| (((li << LEAF_BITS) | i) as u64, p))
-                })
+                leaf.pages
+                    .iter()
+                    .enumerate()
+                    .filter_map(move |(i, p)| p.as_ref().map(|_| ((li << LEAF_BITS) | i) as u64))
             })
         });
-        low.chain(self.high.iter().map(|(&pno, (p, _))| (pno, &**p)))
+        low.chain(self.high.keys().copied())
     }
 
     /// The pages whose *contents* differ from `base`, as sorted
@@ -301,11 +302,7 @@ impl Memory {
     /// this memory's architectural content exactly.
     pub fn delta_from(&self, base: &Memory) -> Vec<(u64, Vec<u8>)> {
         const ZEROS: Page = [0u8; PAGE_SIZE];
-        let mut pages: Vec<u64> = self
-            .resident_in_order()
-            .chain(base.resident_in_order())
-            .map(|(pno, _)| pno)
-            .collect();
+        let mut pages: Vec<u64> = self.resident().chain(base.resident()).collect();
         pages.sort_unstable();
         pages.dedup();
         let mut out = Vec::new();

@@ -68,6 +68,7 @@ use reno_dse::{
 };
 use reno_func::{Checkpoint, Cpu, PAGE_BYTES};
 use reno_isa::{decode, encode, Asm, AsmError, Program, Reg};
+use reno_par::Knob;
 use reno_sample::{CheckpointPass, SampleConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -83,7 +84,7 @@ pub const DEFAULT_SEED: u64 = 0x5eed_4e40;
 /// Panics, naming the valid values, when it is set to anything but a whole
 /// number: a typo must not silently run the default-length soak.
 pub fn iters_from_env(default: u64) -> u64 {
-    knob_from_env("RENO_FUZZ_ITERS", default)
+    ITERS.read().unwrap_or(default)
 }
 
 /// Reads `RENO_FUZZ_SEED`, falling back to `default` when unset.
@@ -93,29 +94,20 @@ pub fn iters_from_env(default: u64) -> u64 {
 /// Panics, naming the valid values, when it is set to anything but a whole
 /// number: a typo must not silently fuzz the default stream.
 pub fn seed_from_env(default: u64) -> u64 {
-    knob_from_env("RENO_FUZZ_SEED", default)
+    SEED.read().unwrap_or(default)
 }
 
-fn knob_from_env(name: &str, default: u64) -> u64 {
-    let v = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-    parse_knob(name, v.as_deref())
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(default)
-}
+const ITERS: Knob<u64> = Knob {
+    name: "RENO_FUZZ_ITERS",
+    valid: "a whole number, or unset for the default",
+    accept: |s| s.parse().ok(),
+};
 
-/// Parses a `RENO_FUZZ_ITERS` / `RENO_FUZZ_SEED` value: `None` (unset or
-/// empty) means the default, a whole number is used, anything else is an
-/// error listing the valid values.
-fn parse_knob(name: &str, v: Option<&str>) -> Result<Option<u64>, String> {
-    match v.map(str::trim) {
-        None | Some("") => Ok(None),
-        Some(s) => s.parse().map(Some).map_err(|_| {
-            format!(
-                "{name}={s:?} is malformed; valid values: a whole number, or unset for the default"
-            )
-        }),
-    }
-}
+const SEED: Knob<u64> = Knob {
+    name: "RENO_FUZZ_SEED",
+    valid: "a whole number, or unset for the default",
+    accept: |s| s.parse().ok(),
+};
 
 /// Outcome tallies of one fuzz run. `failures` holds human-readable
 /// reproduction notes for the first few contract violations (empty on a
@@ -1414,14 +1406,14 @@ mod tests {
 
     #[test]
     fn malformed_fuzz_knobs_are_rejected_loudly() {
-        for name in ["RENO_FUZZ_ITERS", "RENO_FUZZ_SEED"] {
-            assert_eq!(parse_knob(name, None), Ok(None));
-            assert_eq!(parse_knob(name, Some("")), Ok(None));
-            assert_eq!(parse_knob(name, Some("30000")), Ok(Some(30000)));
+        for knob in [ITERS, SEED] {
+            assert_eq!(knob.parse(None), Ok(None));
+            assert_eq!(knob.parse(Some("")), Ok(None));
+            assert_eq!(knob.parse(Some("30000")), Ok(Some(30000)));
             for bad in ["1e5", "-1", "0x10", "lots"] {
-                let e = parse_knob(name, Some(bad)).unwrap_err();
+                let e = knob.parse(Some(bad)).unwrap_err();
                 assert!(
-                    e.starts_with(&format!("{name}={bad:?}")) && e.contains("whole number"),
+                    e.starts_with(&format!("{}={bad:?}", knob.name)) && e.contains("whole number"),
                     "{e}"
                 );
             }

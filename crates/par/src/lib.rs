@@ -34,10 +34,14 @@
 //!   lending to a helper, and [`thread_count`] is at least 2. A fan-out
 //!   therefore never grows past [`thread_count`] threads, and
 //!   `RENO_THREADS=1` never borrows. A job a pool runs inline on the
-//!   caller's thread (one item, or one worker) keeps the caller's standing,
-//!   so a single-segment sampled run on an otherwise idle host may borrow.
-//!   The sampling engine uses it to walk a segment functionally ahead of
-//!   its detailed windows.
+//!   caller's thread (one item, or one worker) keeps the caller's standing.
+//!   The sampling ladder uses it to simulate a program's head window while
+//!   its length probe runs.
+//!
+//! * [`Knob`] — the one reader of every `RENO_*` environment knob in the
+//!   workspace (this crate's `RENO_THREADS` included): unset keeps the
+//!   default, a malformed value panics naming the valid ones. It lives here
+//!   because this crate depends on nothing, so every crate can share it.
 //!
 //! Both the experiment harness (`reno-bench`, which fans workload ×
 //! configuration sweeps), the sampling engine (`reno-sample`, which fans
@@ -67,6 +71,55 @@ fn mark_job_thread() {
     BUSY.with(|f| f.set(true));
 }
 
+/// A `RENO_*` environment knob. Every knob of the workspace reads through
+/// this one type, so they all fail the same way: unset (or empty) keeps the
+/// caller's default, and a malformed value is rejected with a message that
+/// names the knob and its valid values — a typo must never silently fall
+/// back to a default.
+pub struct Knob<T> {
+    /// The environment variable.
+    pub name: &'static str,
+    /// The valid values, as the rejection message lists them.
+    pub valid: &'static str,
+    /// Parses a trimmed, non-empty value; `None` rejects it.
+    pub accept: fn(&str) -> Option<T>,
+}
+
+impl<T> Knob<T> {
+    /// Parses one value of the knob: `Ok(None)` when unset or empty,
+    /// `Ok(Some(_))` when [`Knob::accept`] takes it, and otherwise an error
+    /// naming the knob and its valid values.
+    pub fn parse(&self, v: Option<&str>) -> Result<Option<T>, String> {
+        match v.map(str::trim) {
+            None | Some("") => Ok(None),
+            Some(s) => (self.accept)(s).map(Some).ok_or_else(|| {
+                format!(
+                    "{}={s:?} is malformed; valid values: {}",
+                    self.name, self.valid
+                )
+            }),
+        }
+    }
+
+    /// Reads the knob from the environment: `None` when unset or empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`Knob::parse`]'s message when the knob is set to a
+    /// malformed value.
+    pub fn read(&self) -> Option<T> {
+        let v = std::env::var_os(self.name).map(|v| v.to_string_lossy().into_owned());
+        self.parse(v.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// `RENO_THREADS`: a whole number `n` means `max(n, 1)` workers.
+const THREADS: Knob<usize> = Knob {
+    name: "RENO_THREADS",
+    valid: "a whole number (0 and 1 both mean one worker), or unset for every core",
+    accept: |s| s.parse::<usize>().ok().map(|n| n.max(1)),
+};
+
 /// Worker threads for [`par_map`]: the `RENO_THREADS` override if set
 /// (>= 1), otherwise the host's available parallelism.
 ///
@@ -75,27 +128,9 @@ fn mark_job_thread() {
 /// Panics, naming the valid values, when `RENO_THREADS` is set to anything
 /// but a whole number: a typo must not silently fan out over every core.
 pub fn thread_count() -> usize {
-    let v = std::env::var_os("RENO_THREADS").map(|v| v.to_string_lossy().into_owned());
-    match parse_threads(v.as_deref()) {
-        Ok(Some(n)) => n,
-        Ok(None) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Parses a `RENO_THREADS` value: `None` (unset or empty) means "the
-/// host's available parallelism", a whole number `n` means `max(n, 1)`
-/// workers, anything else is an error listing the valid values.
-fn parse_threads(v: Option<&str>) -> Result<Option<usize>, String> {
-    match v.map(str::trim) {
-        None | Some("") => Ok(None),
-        Some(s) => s.parse::<usize>().map(|n| Some(n.max(1))).map_err(|_| {
-            format!(
-                "RENO_THREADS={s:?} is not a worker count; valid values: a whole \
-                 number (0 and 1 both mean one worker), or unset for every core"
-            )
-        }),
-    }
+    THREADS
+        .read()
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// A captured job panic: the payload of a panic that occurred inside one
@@ -253,10 +288,9 @@ impl Helper {
     /// Runs `helper` on the borrowed thread while `main` runs on the
     /// caller's, and returns both results once both are done. A panic in
     /// `helper` comes back as its `Err`; a panic in `main` propagates with
-    /// its own payload after the helper has finished — so `helper` must not
-    /// wait forever on `main` (for example, stop when a channel to it
-    /// closes). The helper thread counts as a job thread: it cannot borrow
-    /// a helper of its own.
+    /// its own payload after the helper has finished, so `helper` must not
+    /// wait on `main`. The helper thread counts as a job thread: it cannot
+    /// borrow a helper of its own.
     pub fn join<H, T, M, R>(self, helper: H, main: M) -> (std::thread::Result<T>, R)
     where
         H: FnOnce() -> T + Send,
@@ -481,12 +515,12 @@ mod tests {
 
     #[test]
     fn malformed_thread_counts_are_rejected_loudly() {
-        assert_eq!(parse_threads(None), Ok(None));
-        assert_eq!(parse_threads(Some("")), Ok(None));
-        assert_eq!(parse_threads(Some("2")), Ok(Some(2)));
-        assert_eq!(parse_threads(Some("0")), Ok(Some(1)));
+        assert_eq!(THREADS.parse(None), Ok(None));
+        assert_eq!(THREADS.parse(Some("")), Ok(None));
+        assert_eq!(THREADS.parse(Some("2")), Ok(Some(2)));
+        assert_eq!(THREADS.parse(Some("0")), Ok(Some(1)));
         for bad in ["two", "2x", "-1", "1.5"] {
-            let e = parse_threads(Some(bad)).unwrap_err();
+            let e = THREADS.parse(Some(bad)).unwrap_err();
             assert!(
                 e.contains(&format!("{bad:?}"))
                     && e.contains("whole number")

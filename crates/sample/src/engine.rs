@@ -1,14 +1,13 @@
 use crate::{ExactSegment, FaultRecovery, IntervalStat, SampleError, SampledResult, SegmentFault};
-use reno_func::{Checkpoint, Cpu, DecodedProgram, DynInst, ExecError, ExecObserver, Memory};
+use reno_func::{
+    BlockCursor, Checkpoint, Cpu, DecodedProgram, DynInst, ExecError, ExecObserver, Memory,
+};
 use reno_isa::Program;
 use reno_mem::MemHierarchy;
 use reno_par::{run_caught, try_par_map, JobPanic};
 use reno_sim::{classify_control, MachineConfig, SampleMark, SimResult, Simulator, WarmState};
 use reno_trace::PipelineTrace;
 use reno_uarch::FrontEnd;
-use walk::Walk;
-
-mod walk;
 
 /// `reno-chaos` site: phase-1 checkpoint serialization, context = the
 /// 1-based checkpoint ordinal. `corrupt` poisons the stored bytes (caught
@@ -796,6 +795,41 @@ fn simulate_head(program: &Program, cfg: &MachineConfig, sc: &SampleConfig) -> H
     }
 }
 
+/// Functionally advances `cpu` to dynamic instruction `until` (or `halt`)
+/// block-at-a-time, feeding the shadow profile every instruction and the
+/// warming hooks every instruction at or past `warm_from`. Each block-engine
+/// advance stops at the next snapshot instant, at `warm_from` and at
+/// `until`, so every snapshot sees exactly the instructions before it.
+#[allow(clippy::too_many_arguments)]
+fn fast_forward(
+    cpu: &mut Cpu,
+    dp: &mut DecodedProgram<'_>,
+    cur: &mut BlockCursor,
+    warm: &mut WarmState,
+    warmer: &mut Warmer,
+    shadow: &mut Shadow,
+    bounds: &mut Boundaries,
+    until: u64,
+    warm_from: u64,
+) -> Result<(), ExecError> {
+    while !cpu.halted() && cpu.executed() < until {
+        let at = cpu.executed();
+        bounds.cross(at, &shadow.cum);
+        let stop = until.min(bounds.next_instant());
+        if at < warm_from {
+            cpu.advance_observed(dp, cur, stop.min(warm_from), &mut *shadow)?;
+        } else {
+            let mut obs = Warming {
+                shadow: &mut *shadow,
+                warmer: &mut *warmer,
+                warm: &mut *warm,
+            };
+            cpu.advance_observed(dp, cur, stop, &mut obs)?;
+        }
+    }
+    Ok(())
+}
+
 /// Where segment 0 takes its head window from.
 #[derive(Clone, Copy)]
 enum HeadSource<'a> {
@@ -814,11 +848,6 @@ enum HeadSource<'a> {
 /// the segment's strata, closing with a functional run to the segment end
 /// so every owned stratum's shadow features are snapped.
 ///
-/// When a helper thread is free ([`reno_par::borrow_helper`]), it walks
-/// the segment functionally ahead of this thread, which replays the walk
-/// and runs the windows; otherwise this thread walks inline. Both give the
-/// same bytes.
-///
 /// # Errors
 ///
 /// [`SampleError::BadCheckpoint`] when the segment's serialized phase-1
@@ -835,7 +864,8 @@ fn run_segment(
     job: &SegmentJob,
     head: HeadSource<'_>,
 ) -> Result<SegmentOut, SampleError> {
-    let cpu = match &job.ck {
+    let grid_start = sc.head;
+    let mut cpu = match &job.ck {
         Some(bytes) => {
             // The chaos copy exists only while a spec is armed or recording
             // is on; the production path deserializes the shared bytes
@@ -854,40 +884,10 @@ fn run_segment(
         None => Cpu::new(program),
     };
     debug_assert_eq!(cpu.executed(), job.start);
-    let run = |walk: Walk<'_>| walk_segment(program, cfg, sc, period, total, job, head, walk);
-    Ok(match reno_par::borrow_helper() {
-        Some(helper) => {
-            let (producer, replay) = walk::link(program, cfg, walk::AHEAD, job.start);
-            let stops: Vec<u64> = job.windows.iter().map(|&(_, pos)| pos).collect();
-            let (walked, out) = helper.join(
-                || walk::walk_ahead(program, cpu, &stops, job.seg_end, producer),
-                || run(Walk::Ahead(replay)),
-            );
-            // A helper that died mid-walk already failed the replay; one
-            // that died after ending its walk is still a bug to surface.
-            if let Err(payload) = walked {
-                std::panic::resume_unwind(payload);
-            }
-            out
-        }
-        None => run(Walk::inline(program, cfg, cpu)),
-    })
-}
-
-/// [`run_segment`] past the restore, over either kind of [`Walk`].
-#[allow(clippy::too_many_arguments)]
-fn walk_segment(
-    program: &Program,
-    cfg: &MachineConfig,
-    sc: &SampleConfig,
-    period: u64,
-    total: u64,
-    job: &SegmentJob,
-    head: HeadSource<'_>,
-    mut walk: Walk<'_>,
-) -> SegmentOut {
-    let grid_start = sc.head;
+    let mut dp = DecodedProgram::new(program);
+    let mut cur = BlockCursor::new();
     let mut warmer = Warmer::new(cfg);
+    let mut shadow = Shadow::new(cfg);
     let mut bounds = Boundaries::new(grid_start + job.strata.0 * period, period);
     let mut out = SegmentOut {
         head: None,
@@ -931,14 +931,24 @@ fn walk_segment(
 
     for &(s, pos) in &job.windows {
         reno_chaos::failpoint!(FP_WARM_REPLAY, job.index);
-        if let Err(e) = walk.forward(pos, warmed_until, &mut warm, &mut warmer, &mut bounds) {
+        if let Err(e) = fast_forward(
+            &mut cpu,
+            &mut dp,
+            &mut cur,
+            &mut warm,
+            &mut warmer,
+            &mut shadow,
+            &mut bounds,
+            pos,
+            warmed_until,
+        ) {
             out.error = Some(e);
-            return out;
+            return Ok(out);
         }
-        debug_assert_eq!(walk.executed(), pos, "planner guarantees pos < total");
+        debug_assert_eq!(cpu.executed(), pos, "planner guarantees pos < total");
 
         // Detailed window: warmup + measure + drain pad, clipped to the
-        // instruction cap, run from a copy of the machine at `pos`.
+        // instruction cap, run from a clone of the live machine.
         reno_chaos::failpoint!(FP_MEASURE_WINDOW, job.index);
         let budget = (sc.detailed_per_period() + DRAIN_PAD).min(sc.max_insts - pos);
         let end = sc.detailed_per_period().min(budget);
@@ -946,7 +956,7 @@ fn walk_segment(
         warm.mem.reset_timing();
         warm.mem.reset_stats();
         warm.frontend.reset_stats();
-        let sim = Simulator::from_cpu_warm(program, cfg.clone(), walk.machine(), budget, warm)
+        let sim = Simulator::from_cpu_warm(program, cfg.clone(), cpu.clone(), budget, warm)
             .with_measure_window(start, end);
         let (r, trained) = sim.run_with_state(INTERVAL_MAX_CYCLES);
         warm = trained;
@@ -974,15 +984,25 @@ fn walk_segment(
     // Close the segment functionally (no warming needed: nothing detailed
     // runs past this point in this segment) and take the final boundary
     // snapshot.
-    if let Err(e) = walk.forward(job.seg_end, u64::MAX, &mut warm, &mut warmer, &mut bounds) {
+    if let Err(e) = fast_forward(
+        &mut cpu,
+        &mut dp,
+        &mut cur,
+        &mut warm,
+        &mut warmer,
+        &mut shadow,
+        &mut bounds,
+        job.seg_end,
+        u64::MAX,
+    ) {
         out.error = Some(e);
-        return out;
+        return Ok(out);
     }
-    bounds.cross(walk.executed(), &walk.cum());
+    bounds.cross(cpu.executed(), &shadow.cum);
 
     // Extract per-range shadow features. Cumulative counts are relative to
     // the segment head, so only within-segment deltas are taken.
-    let final_cum = walk.cum();
+    let final_cum = shadow.cum;
     let feat = |a: u64, b: u64| -> Option<Features> {
         let fa = bounds.at(a, total, &final_cum)?;
         let fb = bounds.at(b, total, &final_cum)?;
@@ -1002,7 +1022,7 @@ fn walk_segment(
     if job.index == 0 && grid_start > 0 {
         out.head_feat = feat(0, grid_start.min(total));
     }
-    out
+    Ok(out)
 }
 
 /// Deterministic exact-replay fallback for one failed segment: re-simulate

@@ -42,22 +42,6 @@
 //!   predictor, BTB and RAS via [`reno_uarch::FrontEnd::process`]
 //!   (classified exactly as the fetch stage would, via
 //!   [`reno_sim::classify_control`]).
-//! * **Walk ahead**: when a core is free ([`reno_par::borrow_helper`] —
-//!   never inside a pool job, so only a segment run outside any fan-out,
-//!   such as a single-segment ladder rung, qualifies), a helper thread runs
-//!   the segment's functional model and shadow profile ahead of the caller
-//!   and streams the walk to it, so the caller only replays the steps into
-//!   the warming hooks and runs the windows:
-//!
-//! ```text
-//!  helper  | walk + shadow, window 1 | walk + shadow, window 2 | ...      | end
-//!          |     steps + machine -----------> steps + machine ----------> ...
-//!  caller  | head | replay + warm | window 1 | replay + warm | window 2 | ...
-//! ```
-//!
-//!   The caller takes every profile snapshot and every warming touch
-//!   exactly where the inline walk would, so the result is the same bytes
-//!   either way. Without a free core the caller walks inline.
 //! * **Warmup → measure**: the detailed simulator, built around the
 //!   carried warm structures by [`reno_sim::Simulator::from_cpu_warm`],
 //!   runs `warmup + interval` instructions with

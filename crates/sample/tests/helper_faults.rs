@@ -1,12 +1,12 @@
-//! Fault injection on the walk-ahead path. A sampled run whose rung fits in
-//! one segment borrows a helper thread at `RENO_THREADS=2` (the helper
-//! walks the segment and, under the ladder, simulates the head while the
-//! length probe runs) and does everything on the caller's thread at
-//! `RENO_THREADS=1`. Faults at the per-window sites fire on the caller's
-//! thread while the helper is mid-walk, so the run must unwind cleanly —
-//! the helper stops when the replay's channels close — retry or fall back
-//! exactly as the inline walk does, and produce the same bytes, segment
-//! faults and recoveries included.
+//! Fault injection around the helper thread. At `RENO_THREADS=2` the
+//! sampling ladder borrows a helper to simulate the head window while the
+//! length probe runs, and the first rung takes that head where it would
+//! have simulated it, after the same `sample:measure-window` failpoint; at
+//! `RENO_THREADS=1` everything runs on the caller's thread. Faults at the
+//! per-window sites must fire at the same ordinals either way, retry or
+//! fall back exactly as they do inline, and produce the same bytes, segment
+//! faults and recoveries included. The explicit (single-rung) run is
+//! checked too: it must not depend on the thread count at all.
 //!
 //! The chaos arming state and `RENO_THREADS` are process-global, so this
 //! file holds a single test.
@@ -40,10 +40,10 @@ fn kernel(iters: i64, mask: i16) -> Program {
 }
 
 #[test]
-fn faults_on_the_walk_ahead_path_give_the_inline_bytes() {
+fn faults_with_a_head_simulated_ahead_give_the_inline_bytes() {
     let cfg = MachineConfig::four_wide(RenoConfig::reno());
     // ~270k instructions: one 32-period segment at a 16k period, and
-    // single-segment rungs on the ladder.
+    // single-segment rungs on the ladder, so no rung runs in a pool.
     let program = kernel(30_000, 255);
     let sc = SampleConfig::new(256, 512, 16384).with_head(2048);
     let specs = [
@@ -70,19 +70,19 @@ fn faults_on_the_walk_ahead_path_give_the_inline_bytes() {
             let ladder = run(&|| run_sampled_auto(&program, cfg.clone(), u64::MAX));
             runs.push((explicit, ladder));
         }
-        let (inline, ahead) = (&runs[0], &runs[1]);
+        let (inline, helped) = (&runs[0], &runs[1]);
         match spec {
             None => assert!(!inline.0.intervals.is_empty(), "the healthy run samples"),
             Some(_) => assert!(!inline.0.segment_faults.is_empty(), "{spec:?} fired"),
         }
         assert_eq!(
             format!("{:?}", inline.0),
-            format!("{:?}", ahead.0),
+            format!("{:?}", helped.0),
             "{spec:?}"
         );
         assert_eq!(
             format!("{:?}", inline.1),
-            format!("{:?}", ahead.1),
+            format!("{:?}", helped.1),
             "{spec:?}"
         );
     }

@@ -5,6 +5,7 @@ use reno_cpa::{Bucket, InstRecord};
 use reno_func::{Cpu, DynInst, Oracle};
 use reno_isa::{OpClass, Opcode, Program, Reg, RenameClass, STACK_TOP};
 use reno_mem::{MemHierarchy, ServedBy};
+use reno_par::Knob;
 use reno_trace::{BranchClass, EventKind, PipelineTrace, RenameOutcome, SquashCause, SysEventKind};
 use reno_uarch::{ControlKind, FrontEnd, StoreSets};
 use std::cmp::Reverse;
@@ -286,21 +287,18 @@ fn classify_control_op(op: Opcode, rs1: Reg) -> ControlKind {
     }
 }
 
-/// Parses a `RENO_FEED` value: `None` (unset or empty) keeps the config's
-/// [`MachineConfig::batched_feed`], `batched` / `perinst` force a feed, and
-/// anything else is an error listing the valid values — a typo must not
-/// silently test the path it meant to avoid.
-fn parse_feed(v: Option<&str>) -> Result<Option<bool>, String> {
-    match v.map(str::trim) {
-        None | Some("") => Ok(None),
-        Some("batched") => Ok(Some(true)),
-        Some("perinst" | "per-inst" | "per_inst") => Ok(Some(false)),
-        Some(other) => Err(format!(
-            "RENO_FEED={other:?} is not an oracle feed; valid values: batched, perinst \
-             (also per-inst, per_inst), or unset for the config's choice"
-        )),
-    }
-}
+/// `RENO_FEED`: unset keeps the config's [`MachineConfig::batched_feed`],
+/// `batched` / `perinst` force a feed — a typo must not silently test the
+/// path it meant to avoid.
+const FEED: Knob<bool> = Knob {
+    name: "RENO_FEED",
+    valid: "batched, perinst (also per-inst, per_inst), or unset for the config's choice",
+    accept: |s| match s {
+        "batched" => Some(true),
+        "perinst" | "per-inst" | "per_inst" => Some(false),
+        _ => None,
+    },
+};
 
 /// The cycle-level out-of-order core. See the crate docs for the model, the
 /// event-driven scheduler, and an end-to-end example.
@@ -487,10 +485,7 @@ impl<'p> Simulator<'p> {
         // whatever slack that leaves.
         let dyn_ring_size = (cfg.rob_size + cfg.fetch_width * 5).next_power_of_two();
         let start_seq = cpu.executed();
-        let feed = std::env::var_os("RENO_FEED").map(|v| v.to_string_lossy().into_owned());
-        let batched_feed = parse_feed(feed.as_deref())
-            .unwrap_or_else(|e| panic!("{e}"))
-            .unwrap_or(cfg.batched_feed);
+        let batched_feed = FEED.read().unwrap_or(cfg.batched_feed);
         let nop_class = RenameClass::of(&reno_isa::Inst::alu_ri(
             Opcode::Addi,
             Reg::ZERO,
@@ -1969,14 +1964,14 @@ mod tests {
 
     #[test]
     fn malformed_feed_is_rejected_loudly() {
-        assert_eq!(parse_feed(None), Ok(None));
-        assert_eq!(parse_feed(Some("")), Ok(None));
-        assert_eq!(parse_feed(Some("batched")), Ok(Some(true)));
+        assert_eq!(FEED.parse(None), Ok(None));
+        assert_eq!(FEED.parse(Some("")), Ok(None));
+        assert_eq!(FEED.parse(Some("batched")), Ok(Some(true)));
         for per_inst in ["perinst", "per-inst", "per_inst"] {
-            assert_eq!(parse_feed(Some(per_inst)), Ok(Some(false)));
+            assert_eq!(FEED.parse(Some(per_inst)), Ok(Some(false)));
         }
         for bad in ["batch", "PERINST", "on", "1"] {
-            let e = parse_feed(Some(bad)).unwrap_err();
+            let e = FEED.parse(Some(bad)).unwrap_err();
             assert!(
                 e.contains(&format!("{bad:?}")) && e.contains("batched") && e.contains("perinst"),
                 "{e}"
