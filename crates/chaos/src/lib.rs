@@ -2,10 +2,11 @@
 //!
 //! Crash-safety claims are only worth what their failure injection can
 //! prove. This crate is the one failpoint engine every layer shares:
-//! `reno-dse`'s store/journal/lease/lock writes and `reno-sample`'s
-//! checkpointing, restore, warm-replay, and measure-window paths all pass
-//! through **named injection points**, so one harness can enumerate every
-//! registered site and kill (or corrupt, or delay) a run at each of them.
+//! `reno-dse`'s store/journal/lease/GC writes and cell attempts and
+//! `reno-sample`'s checkpointing, restore, warm-replay, and measure-window
+//! paths all pass through **named injection points**, so one harness can
+//! enumerate every registered site and kill (or corrupt, or delay) a run at
+//! each of them.
 //!
 //! # Arming a failpoint
 //!
@@ -28,12 +29,14 @@
 //!   `delay` | `corrupt` (default `abort`). IO sites honor all six;
 //!   plain sites treat `half-write`/`flush` as `abort` and ignore
 //!   `corrupt` (nothing to corrupt); byte-buffer sites flip one byte on
-//!   `corrupt`.
+//!   `corrupt`. `delay` sleeps 2 s, long enough to trip a watchdog
+//!   deadline.
 //!
-//! The legacy `RENO_DSE_FAILPOINT=abort-at-io:<n>` variable is honored
-//! verbatim: the n-th [`write_all`] call of the process (any site) writes
-//! half its bytes, flushes, and aborts — exactly the behavior the
-//! `reno-dse` crash-resume suite was built on.
+//! A malformed `RENO_FAILPOINT` aborts the process on the first failpoint
+//! check, with a message naming the knob and this grammar: a typo must not
+//! run a crash test unarmed. It aborts rather than panics because
+//! failpoints fire inside `catch_unwind` isolation, which would swallow a
+//! panic.
 //!
 //! # Instrumenting code
 //!
@@ -56,16 +59,28 @@
 //! the kill-at-every-site loops in `crates/sample/tests/crash_sample.rs`
 //! and `crates/dse/tests/crash_resume.rs`.
 
+use reno_par::Knob;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
 
 /// The environment variable arming one named failpoint.
 pub const ENV_FAILPOINT: &str = "RENO_FAILPOINT";
-/// The legacy `reno-dse` variable (`abort-at-io:<n>`), honored verbatim.
-pub const ENV_DSE_COMPAT: &str = "RENO_DSE_FAILPOINT";
+
+/// `RENO_FAILPOINT`: one failpoint spec (see the crate docs).
+const FAILPOINT: Knob<ArmedSpec> = Knob {
+    name: ENV_FAILPOINT,
+    valid: "<site>[@<ctx>][:<n>[+]][:<mode>] with n >= 1 and mode one of \
+            abort, half-write, flush, panic, delay, corrupt \
+            (e.g. dse:store-object:3:half-write), or unset for none",
+    accept: |s| ArmedSpec::parse(s).ok(),
+};
+
+/// How long [`FailMode::Delay`] sleeps.
+const DELAY: Duration = Duration::from_secs(2);
 
 /// What an armed failpoint does on the hit it targets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,7 +97,8 @@ pub enum FailMode {
     Flush,
     /// Panic with a deterministic message (exercises unwind isolation).
     Panic,
-    /// Sleep 25ms, then proceed normally (exercises watchdog paths).
+    /// Sleep 2 s, then proceed normally: long enough to trip a watchdog
+    /// deadline (exercises timeout paths).
     Delay,
     /// Byte-buffer sites: flip the first byte of the buffer (xor `0xA5`
     /// — the header/magic region validation always checks) and proceed.
@@ -215,18 +231,22 @@ fn refresh_enabled(st: &State) {
     ENABLED.store(st.armed.is_some() || st.recording, Ordering::SeqCst);
 }
 
-/// Parses `RENO_FAILPOINT` once, on the first gate check.
+/// Parses `RENO_FAILPOINT` once, on the first gate check, and aborts the
+/// process on a malformed value (see the crate docs).
 fn env_init() {
     static INIT: OnceLock<()> = OnceLock::new();
     INIT.get_or_init(|| {
-        if let Ok(v) = std::env::var(ENV_FAILPOINT) {
-            match ArmedSpec::parse(&v) {
-                Ok(spec) => {
-                    let mut st = state();
-                    st.armed = Some(Armed { spec, matched: 0 });
-                    refresh_enabled(&st);
-                }
-                Err(e) => eprintln!("reno-chaos: ignoring {ENV_FAILPOINT}={v}: {e}"),
+        let v = std::env::var_os(ENV_FAILPOINT).map(|v| v.to_string_lossy().into_owned());
+        match FAILPOINT.parse(v.as_deref()) {
+            Ok(None) => {}
+            Ok(Some(spec)) => {
+                let mut st = state();
+                st.armed = Some(Armed { spec, matched: 0 });
+                refresh_enabled(&st);
+            }
+            Err(e) => {
+                eprintln!("reno-chaos: {e}");
+                std::process::abort();
             }
         }
     });
@@ -257,7 +277,7 @@ fn note_hit(site: &'static str, ctx: u64) -> Option<FailMode> {
 fn perform(mode: FailMode, site: &'static str, ctx: u64) {
     match mode {
         FailMode::Panic => panic!("chaos: injected panic at {site}@{ctx}"),
-        FailMode::Delay => std::thread::sleep(std::time::Duration::from_millis(25)),
+        FailMode::Delay => std::thread::sleep(DELAY),
         FailMode::Corrupt => {} // nothing to corrupt at a plain site
         FailMode::Abort | FailMode::HalfWrite | FailMode::Flush => {
             eprintln!("chaos: aborting at {site}@{ctx}");
@@ -328,28 +348,6 @@ macro_rules! failpoint_bytes {
 // IO sites.
 // ---------------------------------------------------------------------------
 
-/// `RENO_DSE_FAILPOINT=abort-at-io:<n>` makes the n-th [`write_all`] call
-/// of the process die *mid-write*: half the bytes are written and flushed,
-/// then the process `abort()`s (the closest in-process stand-in for
-/// `kill -9` between two write syscalls). Parsed once, counted globally —
-/// the exact semantics the `reno-dse` crash-resume suite pins.
-fn legacy_countdown() -> Option<&'static AtomicU64> {
-    static FP: OnceLock<Option<AtomicU64>> = OnceLock::new();
-    FP.get_or_init(|| {
-        let v = std::env::var(ENV_DSE_COMPAT).ok()?;
-        let n = v.strip_prefix("abort-at-io:")?.parse::<u64>().ok()?;
-        Some(AtomicU64::new(n))
-    })
-    .as_ref()
-}
-
-fn legacy_fires() -> bool {
-    match legacy_countdown() {
-        Some(c) => c.fetch_sub(1, Ordering::Relaxed) == 1,
-        None => false,
-    }
-}
-
 fn torn_write_abort(file: &mut File, bytes: &[u8]) -> ! {
     let _ = file.write_all(&bytes[..bytes.len() / 2]);
     let _ = file.flush();
@@ -357,13 +355,10 @@ fn torn_write_abort(file: &mut File, bytes: &[u8]) -> ! {
     std::process::abort();
 }
 
-/// Writes `bytes` to `file` through the failpoint engine. An IO-class hit
-/// counts toward both the named site's counter and the legacy global
-/// `abort-at-io` countdown; whichever is armed decides the outcome.
+/// Writes `bytes` to `file` through the failpoint engine: a hit of the
+/// named site, which the armed spec may turn into a torn write, a kill
+/// after the write, a panic, a delay or a corrupted frame.
 pub fn write_all(site: &'static str, file: &mut File, bytes: &[u8]) -> io::Result<()> {
-    if legacy_fires() {
-        torn_write_abort(file, bytes);
-    }
     if !enabled() {
         return file.write_all(bytes);
     }
@@ -382,7 +377,7 @@ pub fn write_all(site: &'static str, file: &mut File, bytes: &[u8]) -> io::Resul
         }
         Some(FailMode::Panic) => panic!("chaos: injected panic at {site}"),
         Some(FailMode::Delay) => {
-            std::thread::sleep(std::time::Duration::from_millis(25));
+            std::thread::sleep(DELAY);
             file.write_all(bytes)
         }
         Some(FailMode::Corrupt) => {
@@ -500,6 +495,27 @@ mod tests {
             ArmedSpec::parse("sample:warm-replay@0").unwrap().site,
             "sample:warm-replay"
         );
+    }
+
+    #[test]
+    fn a_malformed_env_spec_is_rejected_naming_the_knob_and_grammar() {
+        assert_eq!(FAILPOINT.parse(None), Ok(None));
+        assert_eq!(FAILPOINT.parse(Some(" ")), Ok(None));
+        assert_eq!(
+            FAILPOINT.parse(Some("dse:cell@1:2+:panic")),
+            Ok(Some(ArmedSpec::parse("dse:cell@1:2+:panic").unwrap()))
+        );
+        for bad in ["dse:store-object:0", "x:3garbage", "x@notanum:1", "@7"] {
+            let e = FAILPOINT.parse(Some(bad)).unwrap_err();
+            assert!(
+                e.starts_with(&format!("RENO_FAILPOINT={bad:?} is malformed"))
+                    && e.contains("<site>[@<ctx>][:<n>[+]][:<mode>]")
+                    && ["abort", "half-write", "flush", "panic", "delay", "corrupt"]
+                        .iter()
+                        .all(|m| e.contains(m)),
+                "{e}"
+            );
+        }
     }
 
     #[test]

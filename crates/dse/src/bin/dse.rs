@@ -13,10 +13,13 @@
 //! stats. Exit status: 0 on success (even with failed cells — they are
 //! *in* the report), nonzero on unusable input or an unwritable store.
 //!
-//! `RENO_DSE_FAILPOINT=abort-at-io:<n>` (test hook) aborts the process
-//! mid-way through its n-th store/journal/lock/GC write, simulating
-//! `kill -9` at the worst possible moment; a subsequent run with the same
-//! arguments resumes and must produce the identical report.
+//! `RENO_FAILPOINT=<site>:<n>:half-write` (test hook, see `reno-chaos`)
+//! aborts the process mid-way through the n-th write of one store,
+//! journal, lease or GC-log site (or before the n-th cell attempt at
+//! `dse:cell`), simulating `kill -9` at the worst possible moment; a
+//! subsequent run with the same arguments resumes and must produce the
+//! identical report. A malformed spec aborts the run with a message naming
+//! the grammar.
 
 use reno_dse::{parse_spec, run_gc, run_sweep, GcConfig, Store, SweepOptions};
 use std::io::Write as _;

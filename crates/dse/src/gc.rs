@@ -16,8 +16,8 @@
 //!   evicted**, even if the store stays over budget — GC then reports the
 //!   overshoot instead of breaking a resumable sweep. Without a budget,
 //!   eviction is skipped entirely: dead objects are still useful cache.
-//! * **Housekeeping** — quarantined entries beyond the retention count and
-//!   stale object-lock wreckage are removed.
+//! * **Housekeeping** — quarantined entries beyond the retention count are
+//!   removed.
 //!
 //! # Crash safety (two-phase eviction)
 //!
@@ -36,12 +36,11 @@
 //! destruction was already durably decided (the next GC finishes the
 //! unlink). A tombstone can therefore never belong to a live object, and
 //! recovery never consults anything but the log and the tombstones — a
-//! mid-GC crash cannot delete an object it didn't first journal. All log
-//! appends and the recovery path go through the `RENO_DSE_FAILPOINT` hook,
-//! so the crash-resume suite kills GC at every IO point.
+//! mid-GC crash cannot delete an object it didn't first journal. Every log
+//! append goes through the `dse:gc-log` failpoint site, so the crash-resume
+//! suite kills GC at every IO point.
 
 use crate::journal::sealed_line;
-use crate::lock;
 use crate::store::{fnv1a64, prune_quarantine, Store};
 use crate::JournalEvent;
 use std::collections::HashSet;
@@ -80,8 +79,7 @@ pub struct GcStats {
     pub reclaimed_bytes: u64,
     /// Quarantine files removed beyond the retention count.
     pub quarantine_pruned: u64,
-    /// Tombstones and stale lock files cleaned up (from this or an earlier
-    /// interrupted run).
+    /// Tombstones cleaned up (from this or an earlier interrupted run).
     pub wreckage_removed: u64,
     /// `objects/` size after the sweep. Over-budget here means the live
     /// set alone exceeds the budget.
@@ -234,20 +232,12 @@ pub fn run_gc(store: &Store, cfg: &GcConfig) -> io::Result<GcStats> {
 
     let live = live_set(store)?;
 
-    // Inventory objects/ — committed entries, plus lock wreckage cleanup.
+    // Inventory objects/: committed entries only.
     let mut total = 0u64;
     let mut candidates: Vec<Candidate> = Vec::new();
     for path in objects_entries(store)? {
-        let ext = path.extension().and_then(|e| e.to_str());
-        match ext {
-            Some("bin") => {}
-            Some("lock") => {
-                if lock::object_lock_is_stale(&path) && fs::remove_file(&path).is_ok() {
-                    stats.wreckage_removed += 1;
-                }
-                continue;
-            }
-            _ => continue,
+        if !path.extension().is_some_and(|e| e == "bin") {
+            continue;
         }
         let Some(key) = path
             .file_stem()

@@ -13,7 +13,7 @@
 //! | panicking cell | caught per-job ([`reno_par::try_par_map_deadline`]), retried once, then quarantined into the report's failed-cells section while the rest of the sweep completes |
 //! | wedged cell | the watchdog deadline abandons it on a detached thread, retries once, then journals `timeout` and reports it as failed — sweeps always terminate |
 //! | disk full / write error | logged; the sweep degrades to cache-less operation for that entry and still completes |
-//! | concurrent writer, same cell | advisory per-object lock: one writer commits, the other skips (identical content-addressed bytes either way) |
+//! | concurrent writer, same cell | both commit: each write is an atomic rename of identical content-addressed bytes, and each journals its `done` |
 //! | concurrent writer, same sweep | journal heartbeat lease: wait with capped backoff, take over if stale, or degrade to read-only — never corrupt, same report bytes |
 //! | killed mid-GC | two-phase eviction (journaled intent → tombstone → unlink → completion): recovery finishes recorded evictions and never touches a live object |
 //!
@@ -52,17 +52,21 @@ pub const FP_JOURNAL_APPEND: &str = "dse:journal-append";
 pub const FP_GC_LOG: &str = "dse:gc-log";
 /// `reno-chaos` site: sweep-lease heartbeat writes ([`lock::acquire_lease`]).
 pub const FP_LEASE_WRITE: &str = "dse:lease-write";
-/// `reno-chaos` site: per-object advisory lock files ([`lock`]).
-pub const FP_LOCK_WRITE: &str = "dse:lock-write";
+/// `reno-chaos` site: the top of every cell attempt, before the cell is
+/// simulated ([`run_sweep`]). Its context is the cell's index in the plan
+/// (workloads in spec order, each with its configs in spec order).
+pub const FP_CELL: &str = "dse:cell";
 
-/// Every registered `reno-chaos` failpoint site in this crate. The chaos
-/// test harness enumerates this list to prove each site stays covered.
+/// Every registered `reno-chaos` failpoint site in this crate. The
+/// crash-resume suite kills the `dse` binary at every hit of each listed
+/// site (sweep runs and `dse gc` runs) and fails when a listed site never
+/// fires in either.
 pub const FAILPOINT_SITES: &[&str] = &[
     FP_STORE_OBJECT,
     FP_JOURNAL_APPEND,
     FP_GC_LOG,
     FP_LEASE_WRITE,
-    FP_LOCK_WRITE,
+    FP_CELL,
 ];
 
 pub use gc::{run_gc, GcConfig, GcStats};

@@ -1,26 +1,24 @@
-//! Advisory locks for the shared store: per-sweep journal **leases** and
-//! per-object **lock files**.
+//! Per-sweep journal **leases**: the advisory lock that gives one process
+//! at a time write ownership of a sweep's journal.
 //!
-//! The workspace forbids `unsafe`, so there is no `flock(2)` here — both
-//! primitives are plain lock files, made safe by three properties:
+//! The workspace forbids `unsafe`, so there is no `flock(2)` here — a lease
+//! is a plain lock file, made safe by three properties:
 //!
-//! 1. **They are advisory.** Every write they guard is already atomic
-//!    (tmp + fsync + rename of self-validating frames, or append-only
-//!    sealed lines), so a broken or bypassed lock can cost duplicate work,
-//!    never corruption. Duplicate-compute-last-write-wins is the contract:
-//!    two processes racing the same content-addressed key commit identical
-//!    bytes.
+//! 1. **It is advisory.** Every write it guards is already atomic (tmp +
+//!    fsync + rename of self-validating frames, or append-only sealed
+//!    lines), so a broken or bypassed lease can cost duplicate work, never
+//!    corruption. Store objects need no lock at all: two processes racing
+//!    the same content-addressed key each rename identical bytes into
+//!    place.
 //! 2. **Atomic claim.** A lease is claimed by writing a sealed one-line
 //!    file to `tmp/` and `rename`-ing it over the lease path, then reading
 //!    it back: whoever's nonce survives the rename race owns the lease.
-//!    Object locks use `create_new` (fails if the file exists).
-//! 3. **Staleness is detectable.** Lock content carries the owner pid and
-//!    an expiry timestamp; a dead pid (checked via `/proc` on Linux) or a
-//!    past expiry means the owner crashed and the lock may be broken. An
-//!    unparseable lock file (torn by a crash mid-write) is treated as
-//!    stale immediately — the µs-wide race where a *live* writer's lock is
-//!    read between creation and content-write can at worst break an
-//!    advisory lock, which property 1 makes harmless.
+//! 3. **Staleness is detectable.** A lease carries the owner pid and an
+//!    expiry timestamp; a dead pid (checked via `/proc` on Linux) or a past
+//!    expiry means the owner crashed and the lease may be broken. An
+//!    unparseable lease file (torn by a crash mid-write) is treated as
+//!    stale immediately — breaking a live owner's lease inside the µs-wide
+//!    rename window is harmless by property 1.
 //!
 //! Lease lines are sealed exactly like journal lines (FNV-1a checksum
 //! suffix) so the fuzz harness covers them with the same machinery:
@@ -351,122 +349,6 @@ pub fn acquire_lease(path: &Path, tmp_dir: &Path, cfg: &LeaseConfig) -> io::Resu
     }
 }
 
-// ---------------------------------------------------------------------------
-// Per-object advisory locks.
-// ---------------------------------------------------------------------------
-
-/// How long an object lock file is trusted without staleness checks
-/// succeeding. An object write is a single frame write + rename (ms, not
-/// seconds), so anything older than this with no live owner is wreckage.
-pub const OBJECT_LOCK_TTL: Duration = Duration::from_secs(60);
-
-/// Result of [`try_object_lock`].
-pub enum ObjectLock {
-    /// We hold the lock; drop the guard to release.
-    Acquired(ObjectLockGuard),
-    /// A live writer holds it — skip the write; the holder commits the
-    /// identical content-addressed bytes.
-    Held,
-}
-
-/// Removes the lock file on drop.
-pub struct ObjectLockGuard {
-    path: PathBuf,
-}
-
-impl Drop for ObjectLockGuard {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
-    }
-}
-
-/// Content of an object lock file: a sealed `lock <pid> <created-unix-ms>`
-/// line, same framing as leases.
-fn object_lock_line() -> String {
-    let body = format!("lock {} {}", std::process::id(), now_unix_ms());
-    format!("{body} {:016x}\n", fnv1a64(body.as_bytes()))
-}
-
-/// Parses an object lock file to its owner pid. `None` for torn content.
-fn object_lock_pid(bytes: &[u8]) -> Option<u32> {
-    let text = std::str::from_utf8(bytes).ok()?;
-    let line = text.strip_suffix('\n')?;
-    let (body, ck) = line.rsplit_once(' ')?;
-    if u64::from_str_radix(ck, 16).ok()? != fnv1a64(body.as_bytes()) {
-        return None;
-    }
-    let mut parts = body.split(' ');
-    match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some("lock"), Some(pid), Some(_created), None) => pid.parse().ok(),
-        _ => None,
-    }
-}
-
-/// Whether the object lock file at `path` is wreckage a GC sweep may
-/// remove: torn content, a dead owner, or a file older than the lock TTL.
-pub(crate) fn object_lock_is_stale(path: &Path) -> bool {
-    match fs::read(path) {
-        Err(_) => false,
-        Ok(bytes) => match object_lock_pid(&bytes) {
-            None => true,
-            Some(pid) => {
-                !pid_alive(pid)
-                    || fs::metadata(path)
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|m| m.elapsed().ok())
-                        .is_some_and(|age| age > OBJECT_LOCK_TTL)
-            }
-        },
-    }
-}
-
-/// Tries to take the advisory lock at `path` (`create_new`, so existence is
-/// the lock). An existing lock whose owner is dead, whose content is torn,
-/// or whose file outlived [`OBJECT_LOCK_TTL`] is broken and re-claimed once;
-/// an existing lock with a live owner returns [`ObjectLock::Held`].
-pub fn try_object_lock(path: &Path) -> io::Result<ObjectLock> {
-    for attempt in 0..2 {
-        match File::options().write(true).create_new(true).open(path) {
-            Ok(mut f) => {
-                // Failpointed so the crash suite covers dying mid-lock-write;
-                // a torn lock file left behind is broken by the next comer.
-                reno_chaos::write_all(crate::FP_LOCK_WRITE, &mut f, object_lock_line().as_bytes())?;
-                return Ok(ObjectLock::Acquired(ObjectLockGuard {
-                    path: path.to_path_buf(),
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists && attempt == 0 => {
-                let stale = match fs::read(path) {
-                    Err(read_err) if read_err.kind() == io::ErrorKind::NotFound => true,
-                    Err(_) => false,
-                    Ok(bytes) => match object_lock_pid(&bytes) {
-                        Some(pid) => {
-                            !pid_alive(pid)
-                                || fs::metadata(path)
-                                    .and_then(|m| m.modified())
-                                    .ok()
-                                    .and_then(|m| m.elapsed().ok())
-                                    .is_some_and(|age| age > OBJECT_LOCK_TTL)
-                        }
-                        // Torn content: a crash mid-lock-write (the lock's
-                        // own failpoint) — break it. See module docs for
-                        // why racing a live writer here is harmless.
-                        None => true,
-                    },
-                };
-                if !stale {
-                    return Ok(ObjectLock::Held);
-                }
-                let _ = fs::remove_file(path);
-            }
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => return Ok(ObjectLock::Held),
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(ObjectLock::Held)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -574,28 +456,6 @@ mod tests {
             LeaseOutcome::Owned { takeover, .. } => assert!(takeover),
             LeaseOutcome::Busy { .. } => panic!("torn lease must be taken over"),
         }
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn object_lock_excludes_live_and_breaks_stale() {
-        let (root, _tmp) = tmp_dirs("objlock");
-        let path = root.join("k.lock");
-
-        let g = match try_object_lock(&path).unwrap() {
-            ObjectLock::Acquired(g) => g,
-            ObjectLock::Held => panic!("fresh lock must be acquirable"),
-        };
-        assert!(matches!(try_object_lock(&path).unwrap(), ObjectLock::Held));
-        drop(g);
-        assert!(!path.exists(), "drop releases the lock");
-
-        // Torn lock content (crash mid-write) is broken immediately.
-        fs::write(&path, b"garbage").unwrap();
-        assert!(matches!(
-            try_object_lock(&path).unwrap(),
-            ObjectLock::Acquired(_)
-        ));
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -20,9 +20,11 @@
 //! Writes are atomic: the frame is written to a uniquely-named file under
 //! `tmp/`, flushed, then `rename`d into place. A crash at any point leaves
 //! either no entry or a complete entry — never a torn one — and stray `tmp/`
-//! files from a killed run are ignored by readers. A failed write (e.g.
-//! disk-full) is **not** fatal: the store logs it and the sweep degrades to
-//! cache-less operation for that entry.
+//! files from a killed run are ignored by readers. Two processes writing
+//! the same key need no lock: the key pins the content, so each renames
+//! identical bytes into place and either rename leaves a valid entry. A
+//! failed write (e.g. disk-full) is **not** fatal: the store logs it and
+//! the sweep degrades to cache-less operation for that entry.
 
 use reno_par::Knob;
 use std::fs::{self, File};
@@ -198,10 +200,9 @@ pub fn decode_entry(bytes: &[u8], kind: EntryKind, key: u64) -> Result<Vec<u8>, 
     Ok(payload.to_vec())
 }
 
-// Crash injection lives in `reno-chaos` now: every durable write below goes
-// through `reno_chaos::write_all` under a named site, which preserves the
-// legacy `RENO_DSE_FAILPOINT=abort-at-io:<n>` global IO countdown verbatim
-// and additionally honours per-site `RENO_FAILPOINT` specs.
+// Crash injection lives in `reno-chaos`: every durable write below goes
+// through `reno_chaos::write_all` under a named site, which a
+// `RENO_FAILPOINT` spec can arm.
 
 // ---------------------------------------------------------------------------
 // The store proper.
@@ -219,9 +220,6 @@ pub struct StoreStats {
     pub corrupt: AtomicU64,
     /// Writes that failed (e.g. disk-full) and were skipped.
     pub put_errors: AtomicU64,
-    /// Writes skipped because another live process held the object lock
-    /// (it commits the identical content-addressed bytes).
-    pub lock_waits: AtomicU64,
 }
 
 /// How many quarantined entries are retained (newest first) before the
@@ -292,9 +290,9 @@ impl Store {
             .join(format!("{hex}.bin"))
     }
 
-    /// Total committed bytes under `objects/` (`.bin` files only; lock
-    /// files, tombstones and tmp wreckage are excluded). This is the
-    /// number the GC budget is measured against.
+    /// Total committed bytes under `objects/` (`.bin` files only;
+    /// tombstones and any other file are excluded). This is the number the
+    /// GC budget is measured against.
     pub fn objects_bytes(&self) -> u64 {
         let mut total = 0u64;
         let Ok(shards) = fs::read_dir(self.root.join("objects")) else {
@@ -356,17 +354,14 @@ impl Store {
         }
     }
 
-    /// Records `payload` under `key` atomically (tmp write + rename),
-    /// under the key's advisory object lock. Returns true iff the entry
-    /// was durably committed **by this call**: a failed write (e.g.
-    /// disk-full) is logged and skipped, and a lock held by another live
-    /// writer skips the write too (the holder commits the identical
-    /// content-addressed bytes). Callers journaling a `done` record must
-    /// only do so on `true` — a resumed run must never trust a `done`
-    /// whose object never landed.
+    /// Records `payload` under `key` atomically (tmp write, fsync,
+    /// rename). Returns true iff the entry was durably committed by this
+    /// call; a failed write (e.g. disk-full) is logged and skipped.
+    /// Callers journaling a `done` record must only do so on `true` — a
+    /// resumed run must never trust a `done` whose object never landed.
     pub fn put(&self, kind: EntryKind, key: u64, payload: &[u8]) -> bool {
         match self.try_put(kind, key, payload) {
-            Ok(committed) => committed,
+            Ok(()) => true,
             Err(e) => {
                 self.stats.put_errors.fetch_add(1, Ordering::Relaxed);
                 eprintln!("dse-store: write for key {key:016x} failed ({e}); continuing uncached");
@@ -375,25 +370,12 @@ impl Store {
         }
     }
 
-    fn try_put(&self, kind: EntryKind, key: u64, payload: &[u8]) -> io::Result<bool> {
+    fn try_put(&self, kind: EntryKind, key: u64, payload: &[u8]) -> io::Result<()> {
         let frame = encode_entry(kind, key, payload);
         let final_path = self.object_path(key);
         if let Some(parent) = final_path.parent() {
             fs::create_dir_all(parent)?;
         }
-        // Advisory per-object lock: serializes duplicate computes of one
-        // key across processes. Lock failure falls back to the plain
-        // atomic write — tmp+rename is safe without it, the lock only
-        // avoids wasted duplicate IO.
-        let lock_path = final_path.with_extension("lock");
-        let _lock = match crate::lock::try_object_lock(&lock_path) {
-            Ok(crate::lock::ObjectLock::Acquired(guard)) => Some(guard),
-            Ok(crate::lock::ObjectLock::Held) => {
-                self.stats.lock_waits.fetch_add(1, Ordering::Relaxed);
-                return Ok(false);
-            }
-            Err(_) => None,
-        };
         let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
         let tmp = self
             .root
@@ -406,7 +388,7 @@ impl Store {
         if r.is_err() {
             let _ = fs::remove_file(&tmp);
         }
-        r.map(|_| true)
+        r
     }
 
     /// Moves a failed-validation entry aside for inspection, then prunes
@@ -601,7 +583,9 @@ mod tests {
         let expect = (HEADER_LEN + 3 + HEADER_LEN + 4) as u64;
         assert_eq!(store.objects_bytes(), expect);
 
-        // A held object lock (live pid) turns put into a skip.
+        // A `<key>.lock` an older build left behind (its object locks held
+        // a live writer's pid) neither blocks `put` nor counts as
+        // committed bytes.
         let lock_path = store.object_path(3).with_extension("lock");
         fs::create_dir_all(lock_path.parent().unwrap()).unwrap();
         let body = format!("lock {} {}", std::process::id(), 0);
@@ -610,9 +594,9 @@ mod tests {
             format!("{body} {:016x}\n", fnv1a64(body.as_bytes())),
         )
         .unwrap();
-        assert!(!store.put(EntryKind::Cell, 3, b"xyz"));
-        assert_eq!(store.stats.lock_waits.load(Ordering::Relaxed), 1);
-        assert_eq!(store.get(EntryKind::Cell, 3), None);
+        assert!(store.put(EntryKind::Cell, 3, b"xyz"));
+        assert_eq!(store.get(EntryKind::Cell, 3).unwrap(), b"xyz");
+        assert_eq!(store.objects_bytes(), expect + (HEADER_LEN + 3) as u64);
 
         let _ = fs::remove_dir_all(&dir);
     }

@@ -36,12 +36,13 @@
 //! ([`Journal::open_leased`]); when a live owner holds it past the wait
 //! budget this run degrades to **read-only**: no journal appends, no store
 //! writes, every uncovered cell computed in memory — and the identical
-//! report. Store writes go through per-object advisory locks, so two
-//! processes racing the same cell do duplicate-compute-last-write-wins
-//! safely. Results are committed from the **caller's** thread as each cell
-//! finishes (via the pool's `on_result` hook), which is what makes the
-//! timeout path race-free: a `done` record can only be written for a cell
-//! the pool did not abandon.
+//! report. Two processes racing the same cell (different sweeps whose
+//! grids overlap) both compute it and both commit it: each store write is
+//! an atomic rename of the same content-addressed bytes, and each journals
+//! its own `done`. Results are committed from the **caller's** thread as
+//! each cell finishes (via the pool's `on_result` hook), which is what
+//! makes the timeout path race-free: a `done` record can only be written
+//! for a cell the pool did not abandon.
 
 use crate::journal::{Journal, JournalEvent};
 use crate::lock::LeaseConfig;
@@ -124,22 +125,12 @@ impl CellResult {
     }
 }
 
-/// Test hooks for fault injection plus tuning overrides. Cells are
-/// addressed as `"<workload>/<config-label>"`.
+/// Tuning overrides. Fault injection goes through the `dse:cell`
+/// failpoint site ([`crate::FP_CELL`]) instead: `dse:cell@<i>:1+:panic`
+/// panics cell `i` on every attempt, `dse:cell@<i>:1:delay` stalls its
+/// first attempt past a short deadline.
 #[derive(Clone, Debug, Default)]
 pub struct SweepOptions {
-    /// Cells that panic on **every** attempt (exercises retry-then-
-    /// quarantine).
-    pub panic_always: Vec<String>,
-    /// Cells that panic on the **first** attempt only (exercises
-    /// retry-succeeds).
-    pub panic_first_attempt: Vec<String>,
-    /// Cells that wedge (spin until cancelled) on **every** attempt
-    /// (exercises watchdog-timeout-then-journal).
-    pub stall_always: Vec<String>,
-    /// Cells that wedge on the **first** attempt only (exercises
-    /// timeout-retry-succeeds).
-    pub stall_first_attempt: Vec<String>,
     /// Per-cell watchdog deadline override in milliseconds. `None` uses
     /// `RENO_DSE_CELL_DEADLINE_MS`, else the fuel-derived default scaled
     /// by `RENO_DSE_DEADLINE_MULT`.
@@ -168,8 +159,8 @@ pub struct SweepStats {
     pub passes_cached: u64,
     /// Store validation failures observed (entries quarantined).
     pub store_corrupt: u64,
-    /// Lock contention events: lease-acquisition backoff sleeps plus
-    /// object writes skipped because another live process held the lock.
+    /// Lease contention: backoff sleeps spent waiting for another live
+    /// process's lease on this sweep's journal.
     pub lock_waits: u64,
     /// 1 when this run broke a stale (crashed/expired-owner) lease to
     /// take over its journal.
@@ -234,7 +225,7 @@ struct Cell<'a> {
     wl_idx: usize,
     cfg: &'a MachineConfig,
     key: u64,
-    /// `"<workload>/<label>"`, for fault injection and failure reports.
+    /// `"<workload>/<label>"`, for diagnostics and failure reports.
     id: String,
 }
 
@@ -248,8 +239,8 @@ struct CellJob {
     sc: Option<SampleConfig>,
     pass: Option<Arc<CheckpointPass>>,
     id: String,
-    inject_panic: bool,
-    inject_stall: bool,
+    /// The cell's index in the plan: the `dse:cell` failpoint context.
+    index: usize,
 }
 
 fn cell_key(spec: &SweepSpec, wl: &str, cfg: &MachineConfig) -> u64 {
@@ -486,16 +477,6 @@ fn load_passes(
     })
 }
 
-/// Spin-waits until the watchdog cancels the job (fault injection for the
-/// timeout path). The wall-clock cap turns a broken watchdog into a slow
-/// test failure instead of a hung sweep.
-fn stall(ctx: &CancelToken) {
-    let t0 = std::time::Instant::now();
-    while !ctx.cancelled() && t0.elapsed() < Duration::from_secs(30) {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
 /// Runs (or resumes) the sweep described by `spec` against `store`.
 ///
 /// See the module docs for the determinism and failure-handling contracts.
@@ -646,9 +627,8 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
         passes.into_iter().map(|p| Some(Arc::new(p))).collect()
     };
     let deadline = cell_deadline(spec, opts);
-    let make_job = |i: usize, attempt: u32| -> CellJob {
+    let make_job = |i: usize| -> CellJob {
         let cell = &cells[i];
-        let first = attempt == 1;
         CellJob {
             spec: Arc::clone(&spec_arc),
             workload: Arc::clone(&wl_arcs[cell.wl_idx]),
@@ -656,19 +636,11 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
             sc: sc.clone(),
             pass: pass_arcs[cell.wl_idx].clone(),
             id: cell.id.clone(),
-            inject_panic: opts.panic_always.iter().any(|c| *c == cell.id)
-                || (first && opts.panic_first_attempt.iter().any(|c| *c == cell.id)),
-            inject_stall: opts.stall_always.iter().any(|c| *c == cell.id)
-                || (first && opts.stall_first_attempt.iter().any(|c| *c == cell.id)),
+            index: i,
         }
     };
-    let job_fn = |job: CellJob, ctx: &CancelToken| -> CellResult {
-        if job.inject_panic {
-            panic!("injected panic in cell {}", job.id);
-        }
-        if job.inject_stall {
-            stall(ctx);
-        }
+    let job_fn = |job: CellJob, _: &CancelToken| -> CellResult {
+        reno_chaos::failpoint!(crate::FP_CELL, job.index);
         simulate_cell(&job)
     };
 
@@ -678,11 +650,10 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
     // One watchdog round over the cells at `idxs`. Commits happen in the
     // `on_result` hook — i.e. on THIS thread, only for cells the pool did
     // not abandon — so a timed-out cell can never race a `done` record
-    // against its own `timeout` record. A put that didn't commit (lock
-    // held by a live peer, or write error) journals nothing: resume
-    // recomputes, which is always safe.
-    let mut run_round = |idxs: &[usize], attempt: u32| -> Vec<Result<CellResult, JobError>> {
-        let jobs: Vec<CellJob> = idxs.iter().map(|&i| make_job(i, attempt)).collect();
+    // against its own `timeout` record. A put that didn't commit (a write
+    // error) journals nothing: resume recomputes, which is always safe.
+    let mut run_round = |idxs: &[usize]| -> Vec<Result<CellResult, JobError>> {
+        let jobs: Vec<CellJob> = idxs.iter().map(|&i| make_job(i)).collect();
         try_par_map_deadline(jobs, Some(deadline), job_fn, |k, res| match res {
             Ok(r) => {
                 computed += 1;
@@ -703,7 +674,7 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
     let pending: Vec<usize> = (0..cells.len())
         .filter(|&i| outcomes[i].is_none())
         .collect();
-    let first = run_round(&pending, 1);
+    let first = run_round(&pending);
 
     // Retry pass: each first-attempt panic or timeout gets exactly one
     // more try; a second failure quarantines the cell into the failed
@@ -713,7 +684,7 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
         .zip(&first)
         .filter_map(|(&i, r)| r.is_err().then_some(i))
         .collect();
-    let second = run_round(&failed_first, 2);
+    let second = run_round(&failed_first);
     if let Some(j) = &journal {
         for (&i, r) in failed_first.iter().zip(&second) {
             let record = match r {
@@ -770,7 +741,7 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
             passes_computed: passes_computed.load(Ordering::Relaxed),
             passes_cached: passes_cached.load(Ordering::Relaxed),
             store_corrupt: store.stats.corrupt.load(Ordering::Relaxed),
-            lock_waits: opened.lock_waits + store.stats.lock_waits.load(Ordering::Relaxed),
+            lock_waits: opened.lock_waits,
             lease_takeovers: u64::from(opened.lease_takeover),
             timeouts,
             gc_evicted_objects: 0,

@@ -45,7 +45,7 @@ fn spec_a() -> SweepSpec {
 fn run_dse(spec_path: &Path, store: &Path) -> (bool, String, String) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_dse"));
     cmd.arg(spec_path).arg("--store").arg(store);
-    cmd.env_remove("RENO_DSE_FAILPOINT");
+    cmd.env_remove("RENO_FAILPOINT");
     let out = cmd.output().expect("dse binary runs");
     (
         out.status.success(),
@@ -77,63 +77,111 @@ fn journal_log_path(store: &Path) -> PathBuf {
     logs.pop().unwrap()
 }
 
+/// Splits a report into its solo part and its `shared objects` table (empty
+/// when the store hosts no overlapping sweep; see `run_sweep`).
+fn split_census(report: &str) -> (&str, &str) {
+    match report.find("\nshared objects (") {
+        Some(i) => report.split_at(i),
+        None => (report, ""),
+    }
+}
+
 #[test]
 fn concurrent_processes_on_one_store_match_serial_byte_for_byte() {
     let dir = tmp_dir("stress");
     fs::create_dir_all(&dir).unwrap();
     let spec_a_path = dir.join("spec-a.txt");
     let spec_b_path = dir.join("spec-b.txt");
+    let spec_a2_path = dir.join("spec-a2.txt");
     fs::write(&spec_a_path, SPEC_A).unwrap();
     fs::write(&spec_b_path, SPEC_B).unwrap();
+    // SPEC_A renamed, its workloads listed in the other order: the same
+    // cell keys (a key pins content, not the sweep) under a different
+    // journal and lease (the sweep hash ignores the name but not the grid
+    // order), so it computes and commits the same objects as SPEC_A's
+    // owner, concurrently.
+    let spec_a2 = SPEC_A.replace("conc-test-a", "conc-test-a2").replace(
+        "workload gzip.c\nworkload mcf\n",
+        "workload mcf\nworkload gzip.c\n",
+    );
+    assert_ne!(
+        parse_spec(&spec_a2).unwrap().canonical(),
+        spec_a().canonical(),
+        "a separate journal and lease"
+    );
+    fs::write(&spec_a2_path, spec_a2).unwrap();
 
     // Serial references from private stores.
     let (ok, ref_a, _) = run_dse(&spec_a_path, &dir.join("ref-a"));
     assert!(ok);
     let (ok, ref_b, _) = run_dse(&spec_b_path, &dir.join("ref-b"));
     assert!(ok);
+    let (ok, ref_a2, _) = run_dse(&spec_a2_path, &dir.join("ref-a2"));
+    assert!(ok);
 
-    // Three processes race on one shared store: two run the *same* sweep
+    // Four processes race on one shared store: two run the *same* sweep
     // (lease contention — one owns, the other waits then serves from
-    // cache) and one runs a different sweep (object-level concurrency
-    // only). All must succeed with reports byte-identical to serial.
+    // cache), one runs a different sweep with different cells, and one
+    // runs a different sweep with the *same* cells (two processes
+    // committing one key). All must succeed with reports byte-identical to
+    // serial up to the `shared objects` table: the census covers the whole
+    // store, and while the A-family runs overlap, what it finds depends on
+    // which journals were complete when each run took it.
     let shared = dir.join("shared");
     let spawn = |spec: &Path| {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_dse"));
         cmd.arg(spec).arg("--store").arg(&shared);
-        cmd.env_remove("RENO_DSE_FAILPOINT");
+        cmd.env_remove("RENO_FAILPOINT");
         cmd.stdout(std::process::Stdio::piped());
         cmd.stderr(std::process::Stdio::piped());
         cmd.spawn().expect("dse binary spawns")
     };
     let children = vec![
-        (spawn(&spec_a_path), ref_a.clone()),
-        (spawn(&spec_a_path), ref_a.clone()),
-        (spawn(&spec_b_path), ref_b.clone()),
+        ("a", spawn(&spec_a_path), ref_a.clone()),
+        ("a", spawn(&spec_a_path), ref_a.clone()),
+        ("b", spawn(&spec_b_path), ref_b.clone()),
+        ("a2", spawn(&spec_a2_path), ref_a2.clone()),
     ];
-    for (child, reference) in children {
+    for (name, child, reference) in children {
         let out = child.wait_with_output().expect("dse binary finishes");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "concurrent run failed: {stderr}");
+        let report = String::from_utf8_lossy(&out.stdout);
+        let (solo, _) = split_census(&report);
         assert_eq!(
-            String::from_utf8_lossy(&out.stdout),
-            reference,
+            solo, reference,
             "concurrent report differs from serial ({stderr})"
         );
         assert_eq!(stderr_stat(&stderr, "store_corrupt"), 0);
+        eprintln!(
+            "child {name}: computed={} lock_waits={}",
+            stderr_stat(&stderr, "computed"),
+            stderr_stat(&stderr, "lock_waits")
+        );
     }
 
-    // The shared store is sane afterwards: both sweeps fully cached,
-    // nothing corrupt, reports still byte-identical.
-    let (ok, again_a, stderr_a) = run_dse(&spec_a_path, &shared);
-    assert!(ok);
-    assert_eq!(again_a, ref_a);
-    assert_eq!(stderr_stat(&stderr_a, "computed"), 0);
-    assert_eq!(stderr_stat(&stderr_a, "store_corrupt"), 0);
-    let (ok, again_b, stderr_b) = run_dse(&spec_b_path, &shared);
-    assert!(ok);
-    assert_eq!(again_b, ref_b);
-    assert_eq!(stderr_stat(&stderr_b, "computed"), 0);
-    assert_eq!(stderr_stat(&stderr_b, "store_corrupt"), 0);
+    // The shared store is sane afterwards: every sweep fully cached,
+    // nothing corrupt, reports still byte-identical. Both A-family
+    // journals now pin all four shared cells (each committer journals its
+    // own `done`), so every sweep renders the same settled census.
+    for (path, reference) in [
+        (&spec_a_path, &ref_a),
+        (&spec_a2_path, &ref_a2),
+        (&spec_b_path, &ref_b),
+    ] {
+        let (ok, again, stderr) = run_dse(path, &shared);
+        assert!(ok);
+        let (solo, census) = split_census(&again);
+        assert_eq!(solo, reference);
+        assert!(census.starts_with("\nshared objects (4):\n"), "{census}");
+        assert_eq!(
+            census.matches(": 4 of 4 pinned objects shared\n").count(),
+            2,
+            "{census}"
+        );
+        assert_eq!(stderr_stat(&stderr, "computed"), 0);
+        assert_eq!(stderr_stat(&stderr, "store_corrupt"), 0);
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -1,10 +1,15 @@
 //! End-to-end fault-tolerance tests for the DSE service: cache-identical
 //! re-runs, hand-corrupted store entries, panicking cells, wedged cells
 //! (watchdog timeouts), and — through the `dse` binary — process kills at
-//! every IO point (journal, store, lease, object-lock and GC writes) with
-//! byte-identical resumed reports and no live object lost.
+//! every hit of every registered failpoint site (store, journal, lease,
+//! GC-log writes and cell attempts) with byte-identical resumed reports
+//! and no live object lost.
 
-use reno_dse::{parse_spec, run_sweep, Store, SweepOptions, SweepSpec, TIMEOUT_MESSAGE};
+use reno_dse::{
+    parse_spec, run_sweep, Store, SweepOptions, SweepSpec, FAILPOINT_SITES, FP_GC_LOG,
+    TIMEOUT_MESSAGE,
+};
+use std::ffi::OsStr;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -13,7 +18,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// The tests take turns. The watchdog tests hold healthy cells to a
 /// wall-clock deadline, which only means "the cell is wedged" while no
 /// sibling test (the kill loops spawn `dse` processes back to back) is
-/// competing for the same cores.
+/// competing for the same cores; and the in-process tests arm the
+/// process-global `reno-chaos` failpoint.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -40,6 +46,27 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 fn spec() -> SweepSpec {
     parse_spec(SPEC).unwrap()
+}
+
+/// The plan index of a cell of [`SPEC`]: workloads in spec order, each with
+/// its configs in spec order (the `dse:cell` failpoint context).
+const GZIP_RENO: u64 = 1;
+const MCF_BASE: u64 = 2;
+
+/// Arms a `reno-chaos` spec in this process until dropped.
+struct Armed;
+
+impl Armed {
+    fn new(spec: &str) -> Armed {
+        reno_chaos::arm(spec).expect("valid failpoint spec");
+        Armed
+    }
+}
+
+impl Drop for Armed {
+    fn drop(&mut self) {
+        reno_chaos::disarm();
+    }
 }
 
 /// Silences the default panic hook around deliberate worker panics.
@@ -117,17 +144,15 @@ fn panicking_cell_is_quarantined_after_one_retry_and_sweep_completes() {
     let _turn = serial();
     let dir = tmp_dir("panic");
     let store = Store::open(&dir).unwrap();
-    let opts = SweepOptions {
-        panic_always: vec!["gzip.c/RENO".into()],
-        ..SweepOptions::default()
-    };
-    let out = quietly(|| run_sweep(&spec(), &store, &opts).unwrap());
+    let armed = Armed::new(&format!("dse:cell@{GZIP_RENO}:1+:panic"));
+    let out = quietly(|| run_sweep(&spec(), &store, &SweepOptions::default()).unwrap());
+    drop(armed);
     assert_eq!(out.stats.failed, 1);
     assert_eq!(out.stats.computed, 3, "the other three cells completed");
     assert!(out.report.contains("failed cells (1):"));
-    assert!(out
-        .report
-        .contains("gzip.c/RENO: injected panic in cell gzip.c/RENO"));
+    assert!(out.report.contains(&format!(
+        "gzip.c/RENO: chaos: injected panic at dse:cell@{GZIP_RENO}"
+    )));
     assert!(
         out.report
             .lines()
@@ -151,11 +176,9 @@ fn first_attempt_panic_succeeds_on_retry() {
     let _turn = serial();
     let dir = tmp_dir("retry");
     let store = Store::open(&dir).unwrap();
-    let opts = SweepOptions {
-        panic_first_attempt: vec!["mcf/BASE".into()],
-        ..SweepOptions::default()
-    };
-    let out = quietly(|| run_sweep(&spec(), &store, &opts).unwrap());
+    let armed = Armed::new(&format!("dse:cell@{MCF_BASE}:1:panic"));
+    let out = quietly(|| run_sweep(&spec(), &store, &SweepOptions::default()).unwrap());
+    drop(armed);
     assert_eq!(out.stats.failed, 0, "retry rescued the cell");
     assert_eq!(out.stats.computed, 4);
     assert!(!out.report.contains("FAIL"));
@@ -224,11 +247,13 @@ fn wedged_cell_times_out_is_retried_and_reported_failed() {
     let dir = tmp_dir("wedge");
     let store = Store::open(&dir).unwrap();
     let opts = SweepOptions {
-        stall_always: vec!["gzip.c/RENO".into()],
         deadline_ms: Some(150),
         ..SweepOptions::default()
     };
+    // `delay` sleeps 2 s, far past the 150 ms deadline, on both attempts.
+    let armed = Armed::new(&format!("dse:cell@{GZIP_RENO}:1+:delay"));
     let out = run_sweep(&spec(), &store, &opts).unwrap();
+    drop(armed);
     assert_eq!(out.stats.failed, 1);
     assert_eq!(out.stats.computed, 3, "the other three cells completed");
     assert_eq!(
@@ -259,11 +284,12 @@ fn first_attempt_stall_is_rescued_by_retry() {
     let dir = tmp_dir("wedge-retry");
     let store = Store::open(&dir).unwrap();
     let opts = SweepOptions {
-        stall_first_attempt: vec!["mcf/BASE".into()],
         deadline_ms: Some(150),
         ..SweepOptions::default()
     };
+    let armed = Armed::new(&format!("dse:cell@{MCF_BASE}:1:delay"));
     let out = run_sweep(&spec(), &store, &opts).unwrap();
+    drop(armed);
     assert_eq!(out.stats.failed, 0, "retry rescued the wedged cell");
     assert_eq!(out.stats.computed, 4);
     assert_eq!(out.stats.timeouts, 1);
@@ -279,14 +305,14 @@ fn first_attempt_stall_is_rescued_by_retry() {
 
 // ---------------------------------------------------------------- kill/resume
 
-/// Runs the `dse` binary against `store`, returning (exit-ok, stdout,
-/// stderr). `failpoint` arms `RENO_DSE_FAILPOINT=abort-at-io:<n>`.
-fn run_dse(spec_path: &Path, store: &Path, failpoint: Option<u64>) -> (bool, String, String) {
+/// Runs the `dse` binary with `args`, returning (exit-ok, stdout, stderr).
+/// `failpoint` arms `RENO_FAILPOINT` with that spec; an ambient
+/// `RENO_FAILPOINT` never leaks in.
+fn dse(args: &[&OsStr], failpoint: Option<&str>) -> (bool, String, String) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_dse"));
-    cmd.arg(spec_path).arg("--store").arg(store);
-    cmd.env_remove("RENO_DSE_FAILPOINT");
-    if let Some(n) = failpoint {
-        cmd.env("RENO_DSE_FAILPOINT", format!("abort-at-io:{n}"));
+    cmd.args(args).env_remove("RENO_FAILPOINT");
+    if let Some(spec) = failpoint {
+        cmd.env("RENO_FAILPOINT", spec);
     }
     let out = cmd.output().expect("dse binary runs");
     (
@@ -296,25 +322,52 @@ fn run_dse(spec_path: &Path, store: &Path, failpoint: Option<u64>) -> (bool, Str
     )
 }
 
-/// Runs `dse gc --store <store> --budget <budget>`, returning (exit-ok,
-/// stderr). `failpoint` arms `RENO_DSE_FAILPOINT=abort-at-io:<n>`.
-fn run_gc_bin(store: &Path, budget: u64, failpoint: Option<u64>) -> (bool, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_dse"));
-    cmd.arg("gc")
-        .arg("--store")
-        .arg(store)
-        .arg("--budget")
-        .arg(budget.to_string());
-    cmd.env_remove("RENO_DSE_FAILPOINT");
-    if let Some(n) = failpoint {
-        cmd.env("RENO_DSE_FAILPOINT", format!("abort-at-io:{n}"));
-    }
-    let out = cmd.output().expect("dse binary runs");
-    (
-        out.status.success(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
+/// Runs `dse <spec> --store <store>`.
+fn run_dse(spec_path: &Path, store: &Path, failpoint: Option<&str>) -> (bool, String, String) {
+    let args = [spec_path.as_os_str(), "--store".as_ref(), store.as_os_str()];
+    dse(&args, failpoint)
 }
+
+/// Runs `dse gc --store <store> --budget <budget>`, returning (exit-ok,
+/// stderr).
+fn run_gc_bin(store: &Path, budget: u64, failpoint: Option<&str>) -> (bool, String) {
+    let budget = budget.to_string();
+    let args: [&OsStr; 5] = [
+        "gc".as_ref(),
+        "--store".as_ref(),
+        store.as_os_str(),
+        "--budget".as_ref(),
+        budget.as_ref(),
+    ];
+    let (ok, _, stderr) = dse(&args, failpoint);
+    (ok, stderr)
+}
+
+/// Walks every registered failpoint site: for each, `attempt` runs the
+/// binary with `RENO_FAILPOINT=<site>:<n>:half-write` for n = 1, 2, ...
+/// until a run survives (returns true), so every hit of every site kills
+/// one run; `attempt` checks the recovery after each kill itself. Returns
+/// the sites that killed at least one run.
+fn kill_at_every_site(mut attempt: impl FnMut(&str, &str) -> bool) -> Vec<&'static str> {
+    let mut fired = Vec::new();
+    for &site in FAILPOINT_SITES {
+        let mut n = 1;
+        while !attempt(&format!("{site}:{n}:half-write"), &format!("{site}-{n}")) {
+            n += 1;
+            assert!(
+                n < 64,
+                "{site}: failpoint never exhausted — runaway hit count"
+            );
+        }
+        if n > 1 {
+            fired.push(site);
+        }
+    }
+    fired
+}
+
+/// The sites only `dse gc` hits; a sweep hits every other registered site.
+const GC_SITES: &[&str] = &[FP_GC_LOG];
 
 fn journal_done_count(store: &Path) -> u64 {
     let dir = store.join("journal");
@@ -358,32 +411,29 @@ fn killed_mid_write_resumes_byte_identical_at_every_io_point() {
     assert!(ok, "reference run succeeds");
     assert!(!reference.is_empty());
 
-    // Kill the process mid-way through its n-th IO write, for every n until
-    // a run survives to completion (i.e. the failpoint went past the last
-    // write). Every IO event in the run dies exactly once across the loop:
-    // journal header, store-object temp write, journal `done` append.
-    let mut n = 1;
-    loop {
-        let store = dir.join(format!("store-kill-{n}"));
-        let (ok, _, _) = run_dse(&spec_path, &store, Some(n));
+    // Kill the process at every hit of every site — mid-way through a
+    // write (journal header and appends, lease, store-object temp write)
+    // or before a cell attempt — until a run survives to completion.
+    let fired = kill_at_every_site(|failpoint, tag| {
+        let store = dir.join(format!("store-kill-{tag}"));
+        let (ok, _, _) = run_dse(&spec_path, &store, Some(failpoint));
         if ok {
-            assert!(n > 1, "the failpoint must actually fire at least once");
-            break;
+            return true;
         }
 
         // The journal records completed cells; the resumed run must serve
         // exactly those from cache and recompute the rest.
         let done_before = journal_done_count(&store);
         let (ok, resumed, stderr) = run_dse(&spec_path, &store, None);
-        assert!(ok, "resume after kill-at-io:{n} succeeds: {stderr}");
+        assert!(ok, "resume after {failpoint} succeeds: {stderr}");
         assert_eq!(
             resumed, reference,
-            "resumed report after kill-at-io:{n} is byte-identical"
+            "resumed report after {failpoint} is byte-identical"
         );
         assert_eq!(
             stderr_stat(&stderr, "computed") + done_before,
             4,
-            "kill-at-io:{n}: resume re-executed zero completed cells"
+            "{failpoint}: resume re-executed zero completed cells"
         );
 
         // And a third run is fully cached.
@@ -391,10 +441,17 @@ fn killed_mid_write_resumes_byte_identical_at_every_io_point() {
         assert!(ok);
         assert_eq!(again, reference);
         assert_eq!(stderr_stat(&stderr, "computed"), 0);
-
-        n += 1;
-        assert!(n < 64, "failpoint never exhausted — runaway IO count");
-    }
+        false
+    });
+    let sweep_sites: Vec<&str> = FAILPOINT_SITES
+        .iter()
+        .copied()
+        .filter(|s| !GC_SITES.contains(s))
+        .collect();
+    assert_eq!(
+        fired, sweep_sites,
+        "a sweep kills at every registered site but GC's"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -468,41 +525,58 @@ fn gc_killed_at_every_io_point_loses_no_live_object() {
     let (ok, reference, _) = run_dse(&spec_a, &ref_store, None);
     assert!(ok);
 
-    // Kill GC mid-way through its n-th IO write (eviction-intent and
-    // eviction-done journal appends), for every n until a pass survives.
-    let mut n = 1;
-    loop {
-        let store = dir.join(format!("store-gc-kill-{n}"));
+    // Kill GC at every hit of every site (its eviction-intent and
+    // eviction-done log appends), for every n until a pass survives.
+    let fired = kill_at_every_site(|failpoint, tag| {
+        let store = dir.join(format!("store-gc-kill-{tag}"));
         setup(&store);
-        let (ok, _) = run_gc_bin(&store, 0, Some(n));
+        let (ok, _) = run_gc_bin(&store, 0, Some(failpoint));
         if ok {
-            assert!(n > 1, "the failpoint must actually fire at least once");
-            break;
+            return true;
         }
 
         // Recovery pass: finishes (or abandons) the interrupted eviction,
         // leaves no tombstones, and must not have lost a live object.
         let (ok, stderr) = run_gc_bin(&store, 0, None);
-        assert!(ok, "gc recovery after kill-at-io:{n} succeeds: {stderr}");
+        assert!(ok, "gc recovery after {failpoint} succeeds: {stderr}");
         let (bins, tombs) = count_bins(&store);
-        assert_eq!(tombs, 0, "kill-at-io:{n}: no tombstones survive recovery");
-        assert_eq!(bins, 4, "kill-at-io:{n}: exactly sweep A's objects remain");
+        assert_eq!(tombs, 0, "{failpoint}: no tombstones survive recovery");
+        assert_eq!(bins, 4, "{failpoint}: exactly sweep A's objects remain");
 
         // Sweep A resumes fully cached and byte-identical.
         let (ok, resumed, stderr) = run_dse(&spec_a, &store, None);
         assert!(ok);
         assert_eq!(
             resumed, reference,
-            "report after kill-at-io:{n} GC is byte-identical"
+            "report after GC killed at {failpoint} is byte-identical"
         );
         assert_eq!(
             stderr_stat(&stderr, "computed"),
             0,
-            "kill-at-io:{n}: GC evicted no live object"
+            "{failpoint}: GC evicted no live object"
         );
+        false
+    });
+    assert_eq!(fired, GC_SITES, "GC kills at its own sites only");
+    let _ = fs::remove_dir_all(&dir);
+}
 
-        n += 1;
-        assert!(n < 32, "failpoint never exhausted — runaway GC IO count");
-    }
+#[test]
+fn a_malformed_failpoint_spec_fails_the_run_loudly() {
+    let _turn = serial();
+    let dir = tmp_dir("bad-failpoint");
+    fs::create_dir_all(&dir).unwrap();
+    let spec_path = dir.join("spec.txt");
+    fs::write(&spec_path, SPEC).unwrap();
+    // Ordinals are 1-based: this spec would otherwise never fire, and the
+    // crash test it belongs to would pass without killing anything.
+    let (ok, stdout, stderr) = run_dse(&spec_path, &dir.join("store"), Some("dse:store-object:0"));
+    assert!(!ok, "a malformed spec must not run unarmed");
+    assert!(stdout.is_empty(), "no report: {stdout}");
+    assert!(
+        stderr.contains("RENO_FAILPOINT=\"dse:store-object:0\" is malformed")
+            && stderr.contains("<site>[@<ctx>][:<n>[+]][:<mode>]"),
+        "{stderr}"
+    );
     let _ = fs::remove_dir_all(&dir);
 }

@@ -830,23 +830,13 @@ fn fast_forward(
     Ok(())
 }
 
-/// Where segment 0 takes its head window from.
-#[derive(Clone, Copy)]
-enum HeadSource<'a> {
-    /// Simulate it.
-    Simulate,
-    /// A head a helper thread simulated while the ladder's length probe
-    /// ran: taken exactly where it would have been simulated, after the
-    /// same failpoint, and handed back as this rung's own head.
-    Ahead(&'a HeadRun),
-    /// A head an earlier rung measured for this program and config.
-    Reuse(&'a HeadRun),
-}
-
 /// Runs one segment: restore (or start fresh), measure the head stratum if
 /// assigned, then alternate warming fast-forward and detailed windows over
 /// the segment's strata, closing with a functional run to the segment end
 /// so every owned stratum's shadow features are snapped.
+///
+/// `reuse` is a head window already measured for this program and config
+/// (by another rung), taken instead of simulating the head again.
 ///
 /// # Errors
 ///
@@ -862,7 +852,7 @@ fn run_segment(
     base_mem: &Memory,
     total: u64,
     job: &SegmentJob,
-    head: HeadSource<'_>,
+    reuse: Option<&HeadRun>,
 ) -> Result<SegmentOut, SampleError> {
     let grid_start = sc.head;
     let mut cpu = match &job.ck {
@@ -907,13 +897,9 @@ fn run_segment(
     // structures it trained.
     let mut warm = if job.measure_head {
         let mut simulated = None;
-        let head = match head {
-            HeadSource::Reuse(h) => h,
-            HeadSource::Ahead(h) => {
-                reno_chaos::failpoint!(FP_MEASURE_WINDOW, job.index);
-                simulated.insert(h.clone())
-            }
-            HeadSource::Simulate => {
+        let head = match reuse {
+            Some(h) => h,
+            None => {
                 reno_chaos::failpoint!(FP_MEASURE_WINDOW, job.index);
                 simulated.insert(simulate_head(program, cfg, sc))
             }
@@ -1365,21 +1351,22 @@ pub fn run_sampled(program: &Program, cfg: MachineConfig, sc: &SampleConfig) -> 
         cfg,
         sc,
         || functional_pass(program, sc, sc.period),
-        HeadSource::Simulate,
+        None,
     )
     .0
 }
 
 /// [`run_sampled`] with the phase-1 pass supplied by `pass` (the direct
 /// functional pass, or one derived from the ladder's checkpoint grid) and
-/// the head window taken from `head`, also handing back the head window it
-/// measured itself (`None` when it reused one, or lost it to a fault).
+/// an optional already-measured head window to reuse, also handing back
+/// the head window it simulated (`None` when it reused one, or lost it to
+/// a fault).
 fn sample_isolated(
     program: &Program,
     cfg: MachineConfig,
     sc: &SampleConfig,
     pass: impl Fn() -> CheckpointPass,
-    head: HeadSource<'_>,
+    reuse: Option<&HeadRun>,
 ) -> (SampledResult, Option<HeadRun>) {
     // Phase 1 runs under the same isolation discipline as the segment
     // workers: a panic is caught, retried once, and a persistent failure
@@ -1394,7 +1381,7 @@ fn sample_isolated(
     };
     let (error, pass) = match pass {
         Ok(pass) => {
-            match sample_with_pass(program, cfg.clone(), sc, &pass, head) {
+            match sample_with_pass(program, cfg.clone(), sc, &pass, reuse) {
                 Ok((mut r, head)) => {
                     if let Some(recovery) = healed {
                         r.segment_faults.insert(
@@ -1456,17 +1443,17 @@ pub fn run_sampled_with_pass(
     sc: &SampleConfig,
     pass: &CheckpointPass,
 ) -> Result<SampledResult, PassError> {
-    sample_with_pass(program, cfg, sc, pass, HeadSource::Simulate).map(|(r, _)| r)
+    sample_with_pass(program, cfg, sc, pass, None).map(|(r, _)| r)
 }
 
-/// [`run_sampled_with_pass`] with the head window taken from `head`, also
-/// handing back the head window it measured itself.
+/// [`run_sampled_with_pass`] with an optional head window to reuse (see
+/// [`run_segment`]), also handing back the head window it simulated.
 fn sample_with_pass(
     program: &Program,
     cfg: MachineConfig,
     sc: &SampleConfig,
     pass: &CheckpointPass,
-    head: HeadSource<'_>,
+    reuse: Option<&HeadRun>,
 ) -> Result<(SampledResult, Option<HeadRun>), PassError> {
     sc.validate();
     let period = sc.period;
@@ -1556,7 +1543,7 @@ fn sample_with_pass(
         Err(p) => Err(SampleError::SegmentPanic(p.message)),
     };
     let first = try_par_map(&jobs, |job| {
-        run_segment(program, &cfg, sc, period, &base_mem, total, job, head)
+        run_segment(program, &cfg, sc, period, &base_mem, total, job, reuse)
     });
     let mut segment_faults: Vec<SegmentFault> = Vec::new();
     let mut exact_segments: Vec<ExactSegment> = Vec::new();
@@ -1566,7 +1553,7 @@ fn sample_with_pass(
             Ok(out) => outs.push(out),
             Err(error) => {
                 let retried = flatten(run_caught(|| {
-                    run_segment(program, &cfg, sc, period, &base_mem, total, job, head)
+                    run_segment(program, &cfg, sc, period, &base_mem, total, job, reuse)
                 }));
                 match retried {
                     Ok(out) => {
@@ -1594,7 +1581,7 @@ fn sample_with_pass(
     }
 
     // Merge, in segment order (== program order).
-    let mut head_stat = None;
+    let mut head = None;
     let mut head_run = None;
     let mut ft = FeatureTable {
         windows: Vec::new(),
@@ -1610,7 +1597,7 @@ fn sample_with_pass(
     let mut trace: Option<Box<PipelineTrace>> = cfg.trace.then(Box::default);
     for out in outs {
         if out.head.is_some() {
-            head_stat = out.head;
+            head = out.head;
         }
         if out.head_run.is_some() {
             head_run = out.head_run;
@@ -1640,7 +1627,7 @@ fn sample_with_pass(
         .all(|w| w[0].start_inst < w[1].start_inst));
 
     let mut result = SampledResult {
-        head: head_stat,
+        head,
         intervals,
         grid_start: sc.head,
         period,
@@ -1949,48 +1936,26 @@ impl LengthProbe {
 /// the anchor), so the choice is deterministic.
 pub fn run_sampled_auto(program: &Program, cfg: MachineConfig, max_insts: u64) -> SampledResult {
     // Length probe: rungs that cannot field enough windows are skipped
-    // instead of run and discarded. Every rung measures the same cold head
-    // window (its shape does not depend on the sampling period), so a free
-    // helper thread simulates it while the probe runs.
-    let (probe, mut ahead) = match reno_par::borrow_helper() {
-        Some(helper) => {
-            let sc = ladder_config(LADDER_DENSE_PERIOD, max_insts);
-            let (head, probe) = helper.join(
-                || simulate_head(program, &cfg, &sc),
-                || LengthProbe::run(program, max_insts),
-            );
-            // A helper that panicked leaves the head to the first rung.
-            (probe, head.ok())
-        }
-        None => (LengthProbe::run(program, max_insts), None),
-    };
+    // instead of run and discarded.
+    let probe = LengthProbe::run(program, max_insts);
     let total = probe.total;
     let fields_windows =
         |period: u64| total.saturating_sub(LADDER_HEAD) / period >= LADDER_MIN_WINDOWS;
 
-    // The first rung to run takes the head (simulated ahead, or itself),
-    // the next reuses it.
+    // Every rung measures the same cold head window: the first rung to
+    // run simulates it, the next reuses it.
     let mut head: Option<HeadRun> = None;
     let mut rung = |period: u64| {
         let sc = ladder_config(period, max_insts);
-        let source = match (&head, &ahead) {
-            (Some(h), _) => HeadSource::Reuse(h),
-            (None, Some(h)) => HeadSource::Ahead(h),
-            (None, None) => HeadSource::Simulate,
-        };
         let (r, measured) = sample_isolated(
             program,
             cfg.clone(),
             &sc,
             || probe.pass_for(program, &sc),
-            source,
+            head.as_ref(),
         );
         if head.is_none() {
             head = measured;
-        }
-        if head.is_some() {
-            // The rung's own copy serves the next rung.
-            ahead = None;
         }
         (r, head.as_ref().map(|h| h.anchor))
     };
@@ -2048,7 +2013,7 @@ pub fn run_sampled_auto(program: &Program, cfg: MachineConfig, max_insts: u64) -
     }
 
     // The full-detail run needs no checkpoint or head: free them first.
-    drop((probe, head, ahead));
+    drop((probe, head));
     full_detail(program, cfg, max_insts)
 }
 
@@ -2399,7 +2364,7 @@ mod tests {
             cfg(),
             &sc,
             || CheckpointPass::compute(&w.program, &sc),
-            HeadSource::Simulate,
+            None,
         );
         assert!(r.head.is_some() && r.segment_faults.is_empty());
         let standalone = rare_event_anchor(&w.program, &cfg(), LADDER_HEAD);
@@ -2418,8 +2383,14 @@ mod tests {
         // the head's end, so it runs on exactly the structures the head
         // trained.
         let p = kernel(60_000);
-        let run = |mc: &MachineConfig, sc: &SampleConfig, head: HeadSource<'_>| {
-            sample_isolated(&p, mc.clone(), sc, || CheckpointPass::compute(&p, sc), head)
+        let run = |mc: &MachineConfig, sc: &SampleConfig, reuse: Option<&HeadRun>| {
+            sample_isolated(
+                &p,
+                mc.clone(),
+                sc,
+                || CheckpointPass::compute(&p, sc),
+                reuse,
+            )
         };
         let mut traced = cfg();
         traced.trace = true;
@@ -2430,20 +2401,14 @@ mod tests {
             let sc1 = SampleConfig::new(256, 512, 12288)
                 .with_head(4096)
                 .without_jitter();
-            let head = run(&mc, &sc0, HeadSource::Simulate)
-                .1
-                .expect("segment 0 measured the head");
-            let (fresh, fresh_head) = run(&mc, &sc1, HeadSource::Simulate);
-            let (reused, reused_head) = run(&mc, &sc1, HeadSource::Reuse(&head));
-            let (ahead, ahead_head) = run(&mc, &sc1, HeadSource::Ahead(&head));
+            let head = run(&mc, &sc0, None).1.expect("segment 0 measured the head");
+            let (fresh, fresh_head) = run(&mc, &sc1, None);
+            let (reused, reused_head) = run(&mc, &sc1, Some(&head));
             assert!(fresh.head.is_some() && fresh.intervals.len() > 12);
             assert_eq!(format!("{fresh:?}"), format!("{reused:?}"));
-            assert_eq!(format!("{fresh:?}"), format!("{ahead:?}"));
-            // A head simulated ahead counts as the rung's own, for the
-            // next rung to reuse; a reused one is not handed on again.
-            assert!(reused_head.is_none());
-            let (f, a) = (fresh_head.unwrap(), ahead_head.unwrap());
-            assert_eq!((f.stat, f.retired, f.anchor), (a.stat, a.retired, a.anchor));
+            // A rung hands back the head it simulated for the next rung to
+            // reuse; a reused one is not handed on again.
+            assert!(fresh_head.is_some() && reused_head.is_none());
         }
     }
 

@@ -66,10 +66,7 @@
 //! program: the dense rung reuses the sparse rung's (its measurement,
 //! trained structures and trace), and the rare-event anchor of the
 //! ladder's blindness gate comes from an extra counter mark inside it
-//! rather than a second detailed run of the head. When a core is free, a
-//! helper thread simulates that head while the length probe runs, and the
-//! first rung takes it where it would have simulated it (after the same
-//! failpoint).
+//! rather than a second detailed run of the head.
 //!
 //! The whole-run estimate uses the ratio estimator (total measured cycles /
 //! total measured instructions) and reports a 95% confidence bound from the
