@@ -1,7 +1,6 @@
 //! # reno-bench — the experiment harness
 //!
-//! One binary per table/figure in the paper's evaluation (see DESIGN.md §3
-//! and EXPERIMENTS.md for the index):
+//! One binary per table/figure in the paper's evaluation:
 //!
 //! | binary | artifact |
 //! |--------|----------|
@@ -16,7 +15,7 @@
 //! | `table_fusion` | §3.3 — fusion-latency sensitivity |
 //! | `table_e1` | §3.2 — dependent-elimination rule ablation |
 //! | `table_sample` | sampled-vs-full validation of the `reno-sample` subsystem |
-//! | `bench_snapshot` | perf trajectory — appends to `BENCH_sim.json` |
+//! | `bench_report` | perf trajectory — records `perfbench` runs in `BENCH_sim.json`, renders and gates them |
 //!
 //! Each binary prints a plain-text table whose rows correspond to the
 //! paper's bars/series. `RENO_SCALE=tiny|small|default` selects workload

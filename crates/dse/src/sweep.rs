@@ -11,11 +11,9 @@
 //! concurrent runs sharing one store, and lease-degraded read-only runs.
 //! Everything observable in the report derives from cell *content* in plan
 //! order; cache hit/miss traffic, timings and store diagnostics go to stderr
-//! and [`SweepStats`] only. The one addition that depends on the store is
-//! the `shared objects` table, and it derives from **durable journal
-//! state** (which sweeps pinned which objects), never from this run's
-//! traffic — re-running or resuming any sweep over the same store renders
-//! it identically, and stores hosting a single sweep render nothing.
+//! and [`SweepStats`] only — including the cross-sweep sharing census
+//! (`shared_objects`), which depends on what other sweeps pinned in the
+//! same store and so never reaches the report.
 //!
 //! ## Failure handling
 //!
@@ -176,8 +174,7 @@ pub struct SweepStats {
     /// Committed bytes under `objects/` when this invocation finished.
     pub store_bytes: u64,
     /// Distinct committed objects pinned by more than one sweep journal on
-    /// this store (the cross-sweep sharing census; also rendered as the
-    /// report's `shared objects` table when nonzero).
+    /// this store (the cross-sweep sharing census).
     pub shared_objects: u64,
 }
 
@@ -265,25 +262,20 @@ fn pass_key(spec: &SweepSpec, wl: &str, sc: &SampleConfig) -> u64 {
     fnv1a64(format!("pass|{SIM_REV}|wl={wl}|scale={:?}|sc={sc:?}", spec.scale).as_bytes())
 }
 
-/// Cross-sweep sharing census (ROADMAP item 1): scans every sweep journal
-/// under `journal/` and counts the committed objects pinned — via `done` or
-/// `pass` records — by **more than one** sweep. Returns the count of
-/// distinct shared objects plus the rendered `shared objects` table (empty
-/// when nothing is shared, so single-sweep stores keep their report bytes).
+/// Cross-sweep sharing census: scans every sweep journal under `journal/`
+/// and counts the distinct committed objects pinned — via `done` or `pass`
+/// records — by **more than one** sweep.
 ///
-/// The census derives from durable journal state only — never from this
-/// run's cache traffic — so a resumed or fully-cached re-run over the same
-/// store renders the identical section. Journals are visited in hash order
-/// and an unreadable journal contributes nothing, exactly like GC's live
-/// set.
-fn shared_objects_census(store: &Store) -> (u64, String) {
-    use std::fmt::Write as _;
-
+/// The count derives from durable journal state, not from this run's cache
+/// traffic. An unreadable journal contributes nothing, exactly like GC's
+/// live set. It goes to [`SweepStats`] only: the report holds nothing that
+/// another process's sweep can change.
+fn shared_objects_census(store: &Store) -> u64 {
     let Ok(entries) = std::fs::read_dir(store.journal_dir()) else {
-        return (0, String::new());
+        return 0;
     };
-    // (sweep hash, keys it pins), sorted by hash for a deterministic table.
-    let mut pins: Vec<(u64, HashSet<u64>)> = Vec::new();
+    // Number of sweep journals pinning each key.
+    let mut owners: HashMap<u64, u64> = HashMap::new();
     for entry in entries.flatten() {
         let path = entry.path();
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
@@ -305,46 +297,19 @@ fn shared_objects_census(store: &Store) -> (u64, String) {
         let Ok(replay) = crate::journal::replay_journal(&bytes, hash) else {
             continue;
         };
-        let mut keys = HashSet::new();
-        for ev in replay.events {
-            match ev {
-                JournalEvent::Done { key } | JournalEvent::PassUsed { key } => {
-                    keys.insert(key);
-                }
-                JournalEvent::Fail { .. } | JournalEvent::Timeout { .. } => {}
-            }
-        }
-        pins.push((hash, keys));
-    }
-    pins.sort_unstable_by_key(|&(hash, _)| hash);
-
-    let mut owners: HashMap<u64, u64> = HashMap::new();
-    for (_, keys) in &pins {
-        for &k in keys {
+        let keys: HashSet<u64> = replay
+            .events
+            .into_iter()
+            .filter_map(|ev| match ev {
+                JournalEvent::Done { key } | JournalEvent::PassUsed { key } => Some(key),
+                JournalEvent::Fail { .. } | JournalEvent::Timeout { .. } => None,
+            })
+            .collect();
+        for k in keys {
             *owners.entry(k).or_insert(0) += 1;
         }
     }
-    let shared: HashSet<u64> = owners
-        .into_iter()
-        .filter_map(|(k, n)| (n > 1).then_some(k))
-        .collect();
-    if shared.is_empty() {
-        return (0, String::new());
-    }
-
-    let mut out = String::new();
-    let _ = writeln!(out, "\nshared objects ({}):", shared.len());
-    for (hash, keys) in &pins {
-        let n = keys.iter().filter(|k| shared.contains(k)).count();
-        if n > 0 {
-            let _ = writeln!(
-                out,
-                "  sweep {hash:016x}: {n} of {} pinned objects shared",
-                keys.len()
-            );
-        }
-    }
-    (shared.len() as u64, out)
+    owners.values().filter(|&&n| n > 1).count() as u64
 }
 
 fn sample_config(mode: &Mode) -> Option<SampleConfig> {
@@ -722,13 +687,9 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
         .zip(outcomes)
         .map(|(c, o)| (c.id.clone(), o.expect("every cell resolved")))
         .collect();
-    let mut report = crate::report::render(spec, &resolved);
-    // Cross-sweep sharing census: reported only when another sweep on this
-    // store pins some of the same objects, so solo stores keep their exact
-    // report bytes. Counted after this run's final journal append, so a
-    // resume renders the same section.
-    let (shared_objects, sharing_table) = shared_objects_census(store);
-    report.push_str(&sharing_table);
+    let report = crate::report::render(spec, &resolved);
+    // Counted after this run's final journal append.
+    let shared_objects = shared_objects_census(store);
 
     let failed = resolved.iter().filter(|(_, r)| r.is_err()).count() as u64;
     Ok(SweepOutcome {

@@ -77,15 +77,6 @@ fn journal_log_path(store: &Path) -> PathBuf {
     logs.pop().unwrap()
 }
 
-/// Splits a report into its solo part and its `shared objects` table (empty
-/// when the store hosts no overlapping sweep; see `run_sweep`).
-fn split_census(report: &str) -> (&str, &str) {
-    match report.find("\nshared objects (") {
-        Some(i) => report.split_at(i),
-        None => (report, ""),
-    }
-}
-
 #[test]
 fn concurrent_processes_on_one_store_match_serial_byte_for_byte() {
     let dir = tmp_dir("stress");
@@ -124,9 +115,7 @@ fn concurrent_processes_on_one_store_match_serial_byte_for_byte() {
     // cache), one runs a different sweep with different cells, and one
     // runs a different sweep with the *same* cells (two processes
     // committing one key). All must succeed with reports byte-identical to
-    // serial up to the `shared objects` table: the census covers the whole
-    // store, and while the A-family runs overlap, what it finds depends on
-    // which journals were complete when each run took it.
+    // serial.
     let shared = dir.join("shared");
     let spawn = |spec: &Path| {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_dse"));
@@ -147,9 +136,8 @@ fn concurrent_processes_on_one_store_match_serial_byte_for_byte() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "concurrent run failed: {stderr}");
         let report = String::from_utf8_lossy(&out.stdout);
-        let (solo, _) = split_census(&report);
         assert_eq!(
-            solo, reference,
+            report, reference,
             "concurrent report differs from serial ({stderr})"
         );
         assert_eq!(stderr_stat(&stderr, "store_corrupt"), 0);
@@ -163,7 +151,7 @@ fn concurrent_processes_on_one_store_match_serial_byte_for_byte() {
     // The shared store is sane afterwards: every sweep fully cached,
     // nothing corrupt, reports still byte-identical. Both A-family
     // journals now pin all four shared cells (each committer journals its
-    // own `done`), so every sweep renders the same settled census.
+    // own `done`), so every sweep counts the same settled census.
     for (path, reference) in [
         (&spec_a_path, &ref_a),
         (&spec_a2_path, &ref_a2),
@@ -171,14 +159,8 @@ fn concurrent_processes_on_one_store_match_serial_byte_for_byte() {
     ] {
         let (ok, again, stderr) = run_dse(path, &shared);
         assert!(ok);
-        let (solo, census) = split_census(&again);
-        assert_eq!(solo, reference);
-        assert!(census.starts_with("\nshared objects (4):\n"), "{census}");
-        assert_eq!(
-            census.matches(": 4 of 4 pinned objects shared\n").count(),
-            2,
-            "{census}"
-        );
+        assert_eq!(&again, reference);
+        assert_eq!(stderr_stat(&stderr, "shared_objects"), 4);
         assert_eq!(stderr_stat(&stderr, "computed"), 0);
         assert_eq!(stderr_stat(&stderr, "store_corrupt"), 0);
     }
@@ -304,16 +286,12 @@ fn cross_sweep_sharing_is_counted_and_reported_deterministically() {
     // A second sweep whose grid *overlaps* the first (cell keys pin
     // content, so the shared workload's cells are the same objects) is
     // served from the first sweep's cells and pins them in its own
-    // journal; both the report's `shared objects` table and
-    // `stats.shared_objects` must say so.
+    // journal; `stats.shared_objects` must say so, and no sweep's report
+    // may change because another sweep shares its store.
     let dir = tmp_dir("sharing");
     let store = Store::open(&dir).unwrap();
     let first = run_sweep(&spec_a(), &store, &SweepOptions::default()).unwrap();
     assert_eq!(first.stats.shared_objects, 0, "solo sweep shares nothing");
-    assert!(
-        !first.report.contains("shared objects"),
-        "a solo store keeps its exact report bytes"
-    );
 
     // SPEC_A minus the mcf workload: 2 of its 2 cells are also 2 of
     // sweep A's 4.
@@ -321,6 +299,13 @@ fn cross_sweep_sharing_is_counted_and_reported_deterministically() {
         .replace("conc-test-a", "conc-test-sub")
         .replace("workload mcf\n", "");
     let spec_sub = parse_spec(&sub).unwrap();
+    let solo_sub = run_sweep(
+        &spec_sub,
+        &Store::open(dir.with_extension("solo")).unwrap(),
+        &SweepOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(solo_sub.stats.shared_objects, 0);
     let store = Store::open(&dir).unwrap();
     let subset = run_sweep(&spec_sub, &store, &SweepOptions::default()).unwrap();
     assert_eq!(subset.stats.computed, 0, "overlap fully served from cache");
@@ -328,38 +313,21 @@ fn cross_sweep_sharing_is_counted_and_reported_deterministically() {
         subset.stats.shared_objects, 2,
         "the gzip.c cells are pinned by both journals"
     );
-    assert!(
-        subset.report.contains("\nshared objects (2):\n"),
-        "report carries the sharing table: {}",
-        subset.report
-    );
-    assert!(
-        subset.report.contains(": 2 of 4 pinned objects shared")
-            && subset.report.contains(": 2 of 2 pinned objects shared"),
-        "one table row per pinning sweep: {}",
-        subset.report
+    assert_eq!(
+        subset.report, solo_sub.report,
+        "sharing a store leaves the report unchanged"
     );
 
     // The census is durable journal state: re-running the *first* sweep now
-    // renders the identical table, and twice over (cached) stays identical.
-    let store = Store::open(&dir).unwrap();
-    let again = run_sweep(&spec_a(), &store, &SweepOptions::default()).unwrap();
-    assert_eq!(again.stats.shared_objects, 2);
-    let table = subset
-        .report
-        .split("\nshared objects")
-        .nth(1)
-        .map(|s| format!("\nshared objects{s}"))
-        .unwrap();
-    assert_eq!(
-        again.report.strip_suffix(table.as_str()),
-        Some(first.report.as_str()),
-        "the table is purely additive to the solo report"
-    );
-    let store = Store::open(&dir).unwrap();
-    let again2 = run_sweep(&spec_a(), &store, &SweepOptions::default()).unwrap();
-    assert_eq!(again.report, again2.report, "census is deterministic");
+    // counts the same two objects, and twice over (cached) stays identical.
+    for _ in 0..2 {
+        let store = Store::open(&dir).unwrap();
+        let again = run_sweep(&spec_a(), &store, &SweepOptions::default()).unwrap();
+        assert_eq!(again.stats.shared_objects, 2);
+        assert_eq!(again.report, first.report);
+    }
     let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(dir.with_extension("solo"));
 }
 
 #[test]

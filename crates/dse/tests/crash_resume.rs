@@ -247,10 +247,10 @@ fn wedged_cell_times_out_is_retried_and_reported_failed() {
     let dir = tmp_dir("wedge");
     let store = Store::open(&dir).unwrap();
     let opts = SweepOptions {
-        deadline_ms: Some(150),
+        deadline_ms: Some(1000),
         ..SweepOptions::default()
     };
-    // `delay` sleeps 2 s, far past the 150 ms deadline, on both attempts.
+    // `delay` sleeps 2 s, past the 1000 ms deadline, on both attempts.
     let armed = Armed::new(&format!("dse:cell@{GZIP_RENO}:1+:delay"));
     let out = run_sweep(&spec(), &store, &opts).unwrap();
     drop(armed);
@@ -284,7 +284,7 @@ fn first_attempt_stall_is_rescued_by_retry() {
     let dir = tmp_dir("wedge-retry");
     let store = Store::open(&dir).unwrap();
     let opts = SweepOptions {
-        deadline_ms: Some(150),
+        deadline_ms: Some(1000),
         ..SweepOptions::default()
     };
     let armed = Armed::new(&format!("dse:cell@{MCF_BASE}:1:delay"));

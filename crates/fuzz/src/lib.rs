@@ -29,11 +29,11 @@
 //!   lies, kind swaps and duplicated frames must be rejected-as-miss, never
 //!   panic, never over-allocate; accepted frames re-encode byte-exactly.
 //! * [`run_report_fuzz`] — the `BENCH_sim.json` perf-trajectory reader
-//!   (`reno_bench::report`): textual mutations of valid trajectory files
-//!   (bit flips, line deletions/duplications/swaps, truncations, digit
-//!   corruption, quote deletion, garbage) must validate-or-reject without
-//!   panicking, and anything accepted must flow through the `check` +
-//!   `render` gate path panic-free.
+//!   (`reno_bench::report`): textual mutations of valid v3 trajectory
+//!   files (bit flips, line deletions/duplications/swaps, truncations,
+//!   digit corruption, quote deletion, garbage) must validate-or-reject
+//!   without panicking, and anything accepted must flow through the
+//!   `check` + `render` gate path panic-free.
 //! * [`run_journal_fuzz`] — the sweep-journal and lease-file line formats
 //!   (`reno_dse::replay_journal`, `reno_dse::Lease::parse`): seal flips,
 //!   truncations, line deletions/duplications/swaps, interleaved-writer
@@ -1024,50 +1024,50 @@ pub fn run_journal_fuzz(seed: u64, iters: u64) -> FuzzReport {
 //
 // Textual mutation of the repo-root `BENCH_sim.json` perf trajectory fed
 // to `reno_bench::report::validate` — the one *text* format the repo reads
-// back after a human (or an interrupted `bench_snapshot`) may have edited
-// it. The contract: `validate` must accept-or-reject without panicking,
-// and whatever it accepts must flow through `check` and `render` without
-// panicking either (the gate runs on CI, where a panic is a lost signal).
+// back after a human (or an interrupted `bench_report --record`) may have
+// edited it. The contract: `validate` must accept-or-reject without
+// panicking, and whatever it accepts must flow through `check` and
+// `render` without panicking either (the gate runs on CI, where a panic is
+// a lost signal).
 
-/// One syntactically valid v2 trajectory entry line (no trailing comma).
-fn report_v2_entry(label: &str, ts: u64, medians: [u64; 3], bests: [u64; 3]) -> String {
-    format!(
-        "{{\"label\":\"{label}\",\"scale\":\"default\",\"threads\":1,\"mode\":\"full\",\
-         \"rustc\":\"rustc 1.95.0\",\"git_rev\":\"abc1234\",\"timestamp_unix\":{ts},\"reps\":5,\
-         \"baseline_cycles_per_sec\":{},\"baseline_cycles_per_sec_best\":{},\
-         \"cf_me_cycles_per_sec\":{},\"cf_me_cycles_per_sec_best\":{},\
-         \"reno_cycles_per_sec\":{},\"reno_cycles_per_sec_best\":{}}}",
-        medians[0], bests[0], medians[1], bests[1], medians[2], bests[2]
-    )
-}
-
-/// The mutation corpus: valid trajectory files spanning both schema
-/// generations — v1-only history, a paired v2 measurement window (so the
-/// gate path is live), and a mixed file.
+/// The mutation corpus: valid v3 trajectory files — an archive with no
+/// runs, and the same archive followed by a full `pre-opt`/`opt` window of
+/// five `detail_default` runs a side (so the gate path is live) and one
+/// unpaired `dse_sweep` run.
+///
+/// # Panics
+///
+/// Panics if the repository's `BENCHMARK.json` does not parse.
 pub fn report_corpus() -> Vec<String> {
-    let header = "{\"schema\":\"reno-bench-snapshot-v1\",\n\
-                  \"unit\":\"simulated_cycles_per_host_second\",\n\
-                  \"entries\":[\n";
-    let v1 = |label: &str, m: [u64; 3]| {
+    use reno_bench::report::{benchmark_metrics, record, EMPTY_FILE};
+    let metrics = benchmark_metrics().expect("BENCHMARK.json parses");
+    let table: Vec<String> = metrics
+        .iter()
+        .map(|m| format!("\"{}\": {{\"value\": 12.5, \"unit\": \"s\"}}", m.name))
+        .collect();
+    let run = |workload: &str| {
         format!(
-            "{{\"label\":\"{label}\",\"baseline_cycles_per_sec\":{},\
-             \"cf_me_cycles_per_sec\":{},\"reno_cycles_per_sec\":{}}}",
-            m[0], m[1], m[2]
+            "# meta {{\"workload\": \"{workload}\", \"trace\": \"0\", \"workers\": \"2\", \
+             \"host_cores\": \"2\", \"rustc\": \"rustc 1.95.0\"}}\n\
+             {{\"correct\": true, \"attempted\": 3, \"failed\": 0, \"metrics\": {{{}}}}}\n",
+            table.join(", ")
         )
     };
-    let file = |entries: &[String]| format!("{header}{}\n]}}\n", entries.join(",\n"));
-    vec![
-        file(&[v1("seed", [100, 110, 120]), v1("pr2", [130, 125, 140])]),
-        file(&[
-            report_v2_entry("pre-opt", 1000, [1000, 1000, 1000], [1100, 1050, 1000]),
-            report_v2_entry("opt", 1100, [1200, 890, 1000], [1210, 930, 1050]),
-        ]),
-        file(&[
-            v1("seed", [100, 110, 120]),
-            report_v2_entry("pre-hot", 5000, [900, 900, 900], [910, 905, 900]),
-            report_v2_entry("hot", 5100, [950, 940, 930], [960, 950, 940]),
-        ]),
-    ]
+    let archive = EMPTY_FILE.replace(
+        "[\n],",
+        "[\n{\"label\":\"pre-old\",\"reno_cycles_per_sec\":900},\n\
+         {\"label\":\"old\",\"reno_cycles_per_sec\":950}\n],",
+    );
+    let runs = (0..10)
+        .map(|i| (["pre-opt", "opt"][i % 2], "detail_default"))
+        .chain([("hot", "dse_sweep")]);
+    let full = runs
+        .enumerate()
+        .fold(archive.clone(), |text, (i, (label, wl))| {
+            let ts = 1000 + 60 * i as u64;
+            record(Some(&text), label, &run(wl), ts, &metrics).expect("corpus runs record")
+        });
+    vec![archive, full]
 }
 
 /// Applies one random textual mutation to the file bytes.
@@ -1179,22 +1179,26 @@ fn mutate_report(bytes: &mut Vec<u8>, rng: &mut SmallRng) {
 
 /// One report-contract check: `validate`-or-reject without panic, and an
 /// accepted trajectory must survive `check` + `render` without panicking.
-pub fn check_report_text(text: &str, report: &mut FuzzReport, ctx: &str) {
+pub fn check_report_text(
+    text: &str,
+    metrics: &[reno_bench::report::Metric],
+    report: &mut FuzzReport,
+    ctx: &str,
+) {
     use reno_bench::report::{check, render, validate};
-    match catch_unwind(AssertUnwindSafe(|| validate(text))) {
+    match catch_unwind(AssertUnwindSafe(|| validate(text, metrics))) {
         Err(_) => report.fail(format!(
             "report::validate panicked on {}-byte input, {ctx}",
             text.len()
         )),
         Ok(Err(_)) => report.rejected += 1,
-        Ok(Ok(entries)) => {
+        Ok(Ok(trajectory)) => {
             match catch_unwind(AssertUnwindSafe(|| {
-                let verdicts = check(&entries);
-                render(&entries, &verdicts)
+                render(&trajectory, &check(&trajectory))
             })) {
                 Err(_) => report.fail(format!(
-                    "report::check/render panicked on a validated {}-entry trajectory, {ctx}",
-                    entries.len()
+                    "report::check/render panicked on a validated {}-run trajectory, {ctx}",
+                    trajectory.runs.len()
                 )),
                 Ok(_) => report.accepted += 1,
             }
@@ -1210,6 +1214,7 @@ pub fn check_report_text(text: &str, report: &mut FuzzReport, ctx: &str) {
 /// the lossy-decoding path a text editor can produce.
 pub fn run_report_fuzz(seed: u64, iters: u64) -> FuzzReport {
     let corpus = report_corpus();
+    let metrics = reno_bench::report::benchmark_metrics().expect("BENCHMARK.json parses");
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut report = FuzzReport::default();
     for i in 0..iters {
@@ -1220,7 +1225,12 @@ pub fn run_report_fuzz(seed: u64, iters: u64) -> FuzzReport {
             mutate_report(&mut bytes, &mut rng);
         }
         let text = String::from_utf8_lossy(&bytes);
-        check_report_text(&text, &mut report, &format!("iter {i} (seed {seed})"));
+        check_report_text(
+            &text,
+            &metrics,
+            &mut report,
+            &format!("iter {i} (seed {seed})"),
+        );
     }
     report
 }
@@ -1511,14 +1521,18 @@ mod tests {
 
     #[test]
     fn report_corpus_is_valid_and_gates() {
+        use reno_bench::report::{benchmark_metrics, check, validate};
+        let metrics = benchmark_metrics().unwrap();
         for (i, file) in report_corpus().iter().enumerate() {
-            let entries = reno_bench::report::validate(file)
+            let t = validate(file, &metrics)
                 .unwrap_or_else(|e| panic!("corpus file {i} must validate: {e}"));
-            assert!(!entries.is_empty());
+            assert!(!t.archive.is_empty() || !t.runs.is_empty());
         }
-        // The paired-v2 corpus file drives the gate path, not just parsing.
-        let entries = reno_bench::report::validate(&report_corpus()[1]).unwrap();
-        assert_eq!(reno_bench::report::check(&entries).len(), 1);
+        // The window corpus file drives the gate path, not just parsing.
+        let t = validate(&report_corpus()[1], &metrics).unwrap();
+        let windows = check(&t);
+        assert_eq!(windows.len(), 1);
+        assert!(windows[0].pass(), "{windows:?}");
     }
 
     #[test]

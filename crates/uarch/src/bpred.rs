@@ -40,7 +40,9 @@ fn counter_update(c: &mut u8, taken: bool) {
 /// Trace-driven usage: the simulator calls [`HybridPredictor::predict_and_update`]
 /// once per fetched conditional branch with the oracle outcome. Tables and
 /// history are updated in fetch order along the correct path; wrong-path
-/// pollution is not modelled (see DESIGN.md).
+/// pollution is not modelled, because the functional oracle that feeds the
+/// simulator executes only the correct path, so no wrong-path branch ever
+/// reaches the predictor.
 ///
 /// ```
 /// use reno_uarch::HybridPredictor;
