@@ -18,8 +18,8 @@
 //! | `bench_report` | perf trajectory — records `perfbench` runs in `BENCH_sim.json`, renders and gates them |
 //!
 //! Each binary prints a plain-text table whose rows correspond to the
-//! paper's bars/series. `RENO_SCALE=tiny|small|default` selects workload
-//! size (default: `default`).
+//! paper's bars/series. `RENO_SCALE=tiny|small|default|large` selects
+//! workload size (default: `default`).
 //!
 //! ## The parallel sweep runner
 //!
@@ -42,7 +42,7 @@ pub mod sampling;
 pub mod trace_demo;
 pub mod trace_stats;
 
-pub use reno_par::{par_map, thread_count};
+pub use reno_par::par_map;
 
 /// Dynamic-instruction cap per simulation (bounds harness runtime while
 /// leaving every kernel's steady state well represented).
@@ -182,14 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_preserves_order_and_results() {
-        let items: Vec<u64> = (0..100).collect();
-        let seq: Vec<u64> = items.iter().map(|x| x * x).collect();
-        let par = par_map(&items, |x| x * x);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
     fn malformed_scales_are_rejected_loudly() {
         assert_eq!(SCALE.parse(None), Ok(None), "unset means default");
         assert_eq!(SCALE.parse(Some("default")), Ok(Some(Scale::Default)));
@@ -206,11 +198,5 @@ mod tests {
                 "{e}"
             );
         }
-    }
-
-    #[test]
-    fn thread_count_env_override() {
-        // Runs in-process: only assert the parsing contract on the default.
-        assert!(thread_count() >= 1);
     }
 }

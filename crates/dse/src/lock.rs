@@ -26,18 +26,21 @@
 //! ```text
 //! lease <pid> <nonce-hex> <expires-unix-ms> <line-checksum-hex>
 //! ```
+//!
+//! Lease timing (TTL, wait budget, backoff) is a [`LeaseConfig`]: the
+//! defaults (30 s TTL, 120 s wait) unless [`crate::SweepOptions::lease`]
+//! overrides them. No environment variable tunes it.
 
 use crate::store::fnv1a64;
-use reno_par::Knob;
 use std::fs::{self, File};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-/// Tuning for lease acquisition; read from the environment by the `dse`
-/// binary, injectable directly by in-process tests (env mutation is racy
-/// under the threaded test runner).
+/// Tuning for lease acquisition. Sweeps use [`LeaseConfig::default`]
+/// unless [`crate::SweepOptions::lease`] overrides it (tests shorten the
+/// TTL and wait budget this way).
 #[derive(Clone, Debug)]
 pub struct LeaseConfig {
     /// How long a lease stays valid without a refresh. The owner refreshes
@@ -65,35 +68,6 @@ impl Default for LeaseConfig {
         }
     }
 }
-
-impl LeaseConfig {
-    /// Defaults overridden by `RENO_DSE_LEASE_TTL_MS` and
-    /// `RENO_DSE_LEASE_WAIT_MS`.
-    pub fn from_env() -> LeaseConfig {
-        let mut cfg = LeaseConfig::default();
-        if let Some(ms) = LEASE_TTL_MS.read() {
-            cfg.ttl = Duration::from_millis(ms);
-        }
-        if let Some(ms) = LEASE_WAIT_MS.read() {
-            cfg.max_wait = Duration::from_millis(ms);
-        }
-        cfg
-    }
-}
-
-/// `RENO_DSE_LEASE_TTL_MS`: the journal lease's time to live.
-const LEASE_TTL_MS: Knob<u64> = Knob {
-    name: "RENO_DSE_LEASE_TTL_MS",
-    valid: "a whole number of milliseconds, or unset for 30000",
-    accept: |s| s.parse().ok(),
-};
-
-/// `RENO_DSE_LEASE_WAIT_MS`: how long to wait for a live lease.
-const LEASE_WAIT_MS: Knob<u64> = Knob {
-    name: "RENO_DSE_LEASE_WAIT_MS",
-    valid: "a whole number of milliseconds, or unset for 120000",
-    accept: |s| s.parse().ok(),
-};
 
 /// Milliseconds since the Unix epoch (the lease expiry clock).
 pub fn now_unix_ms() -> u64 {
@@ -358,30 +332,6 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
         fs::create_dir_all(root.join("tmp")).unwrap();
         (root.clone(), root.join("tmp"))
-    }
-
-    #[test]
-    fn malformed_lease_knobs_are_rejected_loudly() {
-        for knob in [LEASE_TTL_MS, LEASE_WAIT_MS] {
-            assert_eq!(knob.parse(None), Ok(None));
-            assert_eq!(knob.parse(Some(" ")), Ok(None));
-            assert_eq!(knob.parse(Some("2500")), Ok(Some(2500)));
-            for bad in ["30s", "-5", "2.5", "forever"] {
-                let e = knob.parse(Some(bad)).unwrap_err();
-                assert!(
-                    e.contains(&format!("{bad:?}")) && e.contains("milliseconds"),
-                    "{e}"
-                );
-            }
-        }
-        assert!(LEASE_TTL_MS
-            .parse(Some("x"))
-            .unwrap_err()
-            .starts_with("RENO_DSE_LEASE_TTL_MS="));
-        assert!(LEASE_WAIT_MS
-            .parse(Some("x"))
-            .unwrap_err()
-            .starts_with("RENO_DSE_LEASE_WAIT_MS="));
     }
 
     #[test]

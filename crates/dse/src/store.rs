@@ -12,10 +12,12 @@
 //! Every entry is a self-validating frame: magic, version, kind tag, the
 //! 64-bit content key, an exact payload length and an FNV-1a checksum of the
 //! payload. Reads validate all of it; **any** failure is treated as a cache
-//! miss — the file is moved to `quarantine/` (never deleted, so it can be
-//! inspected), a warning goes to stderr, and the caller recomputes. A
-//! malformed entry can therefore never panic the service or smuggle a wrong
-//! result into a report.
+//! miss — the file is moved to `quarantine/` so it can be inspected, a
+//! warning goes to stderr, and the caller recomputes. A malformed entry can
+//! therefore never panic the service or smuggle a wrong result into a
+//! report. Quarantine keeps the newest [`DEFAULT_QUARANTINE_KEEP`] files
+//! unless [`Store::set_quarantine_keep`] (the `dse` binary's
+//! `--quarantine-keep`) says otherwise; older ones are removed.
 //!
 //! Writes are atomic: the frame is written to a uniquely-named file under
 //! `tmp/`, flushed, then `rename`d into place. A crash at any point leaves
@@ -26,7 +28,6 @@
 //! failed write (e.g. disk-full) is **not** fatal: the store logs it and
 //! the sweep degrades to cache-less operation for that entry.
 
-use reno_par::Knob;
 use std::fs::{self, File};
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
@@ -239,13 +240,6 @@ pub struct Store {
     pub stats: StoreStats,
 }
 
-/// `RENO_DSE_QUARANTINE_KEEP`: how many quarantined objects to retain.
-const QUARANTINE_KEEP: Knob<usize> = Knob {
-    name: "RENO_DSE_QUARANTINE_KEEP",
-    valid: "a whole number of quarantined objects to keep, or unset for 8",
-    accept: |s| s.parse().ok(),
-};
-
 impl Store {
     /// Opens (creating if needed) a store rooted at `root`.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Store> {
@@ -253,11 +247,10 @@ impl Store {
         for sub in ["objects", "tmp", "quarantine", "journal"] {
             fs::create_dir_all(root.join(sub))?;
         }
-        let quarantine_keep = QUARANTINE_KEEP.read().unwrap_or(DEFAULT_QUARANTINE_KEEP);
         Ok(Store {
             root,
             tmp_seq: AtomicU64::new(0),
-            quarantine_keep,
+            quarantine_keep: DEFAULT_QUARANTINE_KEEP,
             stats: StoreStats::default(),
         })
     }
@@ -453,21 +446,6 @@ pub(crate) fn prune_quarantine(dir: &Path, keep: usize) -> io::Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn malformed_quarantine_keep_is_rejected_loudly() {
-        assert_eq!(QUARANTINE_KEEP.parse(None), Ok(None));
-        assert_eq!(QUARANTINE_KEEP.parse(Some("")), Ok(None));
-        assert_eq!(QUARANTINE_KEEP.parse(Some("0")), Ok(Some(0)));
-        assert_eq!(QUARANTINE_KEEP.parse(Some("12")), Ok(Some(12)));
-        for bad in ["all", "-1", "2.0", "8 files"] {
-            let e = QUARANTINE_KEEP.parse(Some(bad)).unwrap_err();
-            assert!(
-                e.contains(&format!("{bad:?}")) && e.contains("whole number"),
-                "{e}"
-            );
-        }
-    }
 
     #[test]
     fn fnv_vectors() {

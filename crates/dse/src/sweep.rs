@@ -20,13 +20,13 @@
 //! A panicking cell is caught by [`reno_par::try_par_map_deadline`], retried
 //! once, and — if it panics again — recorded in the journal and reported in
 //! the `failed cells` section while every other cell completes. A cell that
-//! exceeds its watchdog deadline (fuel-derived, see [`SweepOptions`] and the
-//! `RENO_DSE_CELL_DEADLINE_MS` / `RENO_DSE_DEADLINE_MULT` env knobs) is
-//! abandoned on a detached thread and treated the same way: one retry, then
-//! a journaled `timeout` record and a deterministic failure line — sweeps
-//! always terminate. A cell that failed or timed out in a *previous*
-//! (killed) run stays failed with its recorded outcome, without re-running,
-//! so the resumed report matches the uninterrupted one.
+//! exceeds its watchdog deadline (fuel-derived unless
+//! [`SweepOptions::deadline_ms`] overrides it) is abandoned on a detached
+//! thread and treated the same way: one retry, then a journaled `timeout`
+//! record and a deterministic failure line — sweeps always terminate. A
+//! cell that failed or timed out in a *previous* (killed) run stays failed
+//! with its recorded outcome, without re-running, so the resumed report
+//! matches the uninterrupted one.
 //!
 //! ## Concurrency
 //!
@@ -46,7 +46,7 @@ use crate::journal::{Journal, JournalEvent};
 use crate::lock::LeaseConfig;
 use crate::spec::{Mode, SweepSpec};
 use crate::store::{fnv1a64, EntryKind, Store, StoreError};
-use reno_par::{try_par_map_deadline, CancelToken, JobError, Knob};
+use reno_par::{try_par_map_deadline, CancelToken, JobError};
 use reno_sample::{run_sampled_with_pass, CheckpointPass, SampleConfig};
 use reno_sim::{MachineConfig, Simulator};
 use reno_workloads::{all_workloads, Workload};
@@ -130,12 +130,10 @@ impl CellResult {
 #[derive(Clone, Debug, Default)]
 pub struct SweepOptions {
     /// Per-cell watchdog deadline override in milliseconds. `None` uses
-    /// `RENO_DSE_CELL_DEADLINE_MS`, else the fuel-derived default scaled
-    /// by `RENO_DSE_DEADLINE_MULT`.
+    /// the fuel-derived default.
     pub deadline_ms: Option<u64>,
-    /// Journal lease tuning override. `None` reads the environment
-    /// ([`LeaseConfig::from_env`]); in-process tests inject directly
-    /// because env mutation races under the threaded test runner.
+    /// Journal lease tuning override. `None` uses
+    /// [`LeaseConfig::default`].
     pub lease: Option<LeaseConfig>,
 }
 
@@ -323,44 +321,20 @@ fn sample_config(mode: &Mode) -> Option<SampleConfig> {
     }
 }
 
-/// The per-cell watchdog deadline: explicit override, env override, or the
+/// The per-cell watchdog deadline: the explicit override, else the
 /// fuel-derived default (full mode budgets generously against the slowest
-/// plausible host; sampled mode has no fuel, so a flat generous cap) scaled
-/// by `RENO_DSE_DEADLINE_MULT`.
+/// plausible host; sampled mode has no fuel, so a flat generous cap).
 fn cell_deadline(spec: &SweepSpec, opts: &SweepOptions) -> Duration {
     if let Some(ms) = opts.deadline_ms {
         return Duration::from_millis(ms);
     }
-    if let Some(ms) = CELL_DEADLINE_MS.read() {
-        return Duration::from_millis(ms);
-    }
-    let mult = DEADLINE_MULT.read().unwrap_or(1.0);
-    let base_secs = match &spec.mode {
+    Duration::from_secs(match &spec.mode {
         // Assume a pathologically slow host still retires 100k inst/s of
         // detailed simulation; floor of 30s for tiny fuels.
         Mode::Full => (spec.fuel / 100_000).max(30),
         Mode::Sampled { .. } => 600,
-    };
-    Duration::from_secs_f64(base_secs as f64 * mult)
+    })
 }
-
-/// `RENO_DSE_CELL_DEADLINE_MS`: a flat per-cell deadline.
-const CELL_DEADLINE_MS: Knob<u64> = Knob {
-    name: "RENO_DSE_CELL_DEADLINE_MS",
-    valid: "a whole number of milliseconds, or unset for the fuel-derived deadline",
-    accept: |s| s.parse().ok(),
-};
-
-/// `RENO_DSE_DEADLINE_MULT`: scales the fuel-derived deadline.
-const DEADLINE_MULT: Knob<f64> = Knob {
-    name: "RENO_DSE_DEADLINE_MULT",
-    valid: "a number of at least 0.001, or unset for 1",
-    accept: |s| {
-        s.parse::<f64>()
-            .ok()
-            .filter(|m| m.is_finite() && *m >= 0.001)
-    },
-};
 
 /// Computes one cell (no caching, no catching) — the unit of work the pool
 /// fans out. Sampled cells take the shared pass for their workload.
@@ -447,7 +421,7 @@ fn load_passes(
 /// See the module docs for the determinism and failure-handling contracts.
 pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Result<SweepOutcome> {
     let sweep_hash = fnv1a64(spec.canonical().as_bytes());
-    let lease_cfg = opts.lease.clone().unwrap_or_else(LeaseConfig::from_env);
+    let lease_cfg = opts.lease.clone().unwrap_or_default();
     let opened = Journal::open_leased(store, sweep_hash, &lease_cfg)?;
     let journal: Option<Journal> = opened.journal;
     let read_only = journal.is_none();
@@ -716,30 +690,6 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn malformed_deadline_knobs_are_rejected_loudly() {
-        assert_eq!(CELL_DEADLINE_MS.parse(None), Ok(None));
-        assert_eq!(CELL_DEADLINE_MS.parse(Some("")), Ok(None));
-        assert_eq!(CELL_DEADLINE_MS.parse(Some("150")), Ok(Some(150)));
-        for bad in ["150ms", "-1", "1.5", "soon"] {
-            let e = CELL_DEADLINE_MS.parse(Some(bad)).unwrap_err();
-            assert!(
-                e.contains(&format!("{bad:?}")) && e.contains("milliseconds"),
-                "{e}"
-            );
-        }
-        assert_eq!(DEADLINE_MULT.parse(None), Ok(None));
-        assert_eq!(DEADLINE_MULT.parse(Some("2.5")), Ok(Some(2.5)));
-        assert_eq!(DEADLINE_MULT.parse(Some("0.001")), Ok(Some(0.001)));
-        for bad in ["x2", "0", "-3", "inf", "NaN"] {
-            let e = DEADLINE_MULT.parse(Some(bad)).unwrap_err();
-            assert!(
-                e.contains(&format!("{bad:?}")) && e.contains("0.001"),
-                "{e}"
-            );
-        }
-    }
 
     /// Pins the `stats.json` schema the `dse` binary writes next to
     /// `--out`: syntactically valid JSON carrying every counter under its

@@ -430,11 +430,18 @@ mod tests {
     }
 
     #[test]
-    fn malformed_thread_counts_are_rejected_loudly() {
+    fn thread_count_env_override() {
+        // Unset or empty falls back to the host's parallelism; a whole
+        // number pins the worker count, 0 meaning one worker like 1.
         assert_eq!(THREADS.parse(None), Ok(None));
         assert_eq!(THREADS.parse(Some("")), Ok(None));
         assert_eq!(THREADS.parse(Some("2")), Ok(Some(2)));
+        assert_eq!(THREADS.parse(Some("1")), Ok(Some(1)));
         assert_eq!(THREADS.parse(Some("0")), Ok(Some(1)));
+    }
+
+    #[test]
+    fn malformed_thread_counts_are_rejected_loudly() {
         for bad in ["two", "2x", "-1", "1.5"] {
             let e = THREADS.parse(Some(bad)).unwrap_err();
             assert!(

@@ -52,19 +52,6 @@ pub struct MachineConfig {
     pub storesets: StoreSetConfig,
     /// Collect per-instruction records for critical-path analysis.
     pub collect_cpa: bool,
-    /// Use the reference whole-ROB polling scheduler instead of the
-    /// event-driven one. Timing is identical by construction (enforced by
-    /// the `sched_equivalence` differential tests); the naive path exists
-    /// only as that test's baseline and for debugging.
-    pub naive_sched: bool,
-    /// Feed the pipeline through the block-batched oracle refill (default)
-    /// instead of per-instruction `Oracle::next` calls. Timing and counters
-    /// are identical by construction (enforced by the `feed_equivalence`
-    /// differential tests); the per-instruction path exists only as that
-    /// test's baseline and for debugging. The `RENO_FEED` environment
-    /// variable (`batched` / `perinst`) overrides this field, so CI can
-    /// force either path through existing binaries.
-    pub batched_feed: bool,
     /// Record a structured pipeline event trace (fetch/rename/issue/
     /// complete/retire/squash per dynamic instruction, plus per-cycle
     /// occupancy samples) for export as Chrome trace-event JSON via
@@ -100,8 +87,6 @@ impl MachineConfig {
             ras_entries: 32,
             storesets: StoreSetConfig::default(),
             collect_cpa: false,
-            naive_sched: false,
-            batched_feed: true,
             trace: false,
         }
     }
@@ -156,21 +141,6 @@ impl MachineConfig {
     /// Enable critical-path record collection (Fig 9).
     pub fn with_cpa(mut self) -> MachineConfig {
         self.collect_cpa = true;
-        self
-    }
-
-    /// Use the reference whole-ROB polling scheduler (differential-testing
-    /// baseline for the event-driven one; see [`MachineConfig::naive_sched`]).
-    pub fn with_naive_sched(mut self) -> MachineConfig {
-        self.naive_sched = true;
-        self
-    }
-
-    /// Feed the pipeline per instruction through `Oracle::next`
-    /// (differential-testing baseline for the block-batched refill feed;
-    /// see [`MachineConfig::batched_feed`]).
-    pub fn with_per_inst_feed(mut self) -> MachineConfig {
-        self.batched_feed = false;
         self
     }
 

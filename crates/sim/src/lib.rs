@@ -45,10 +45,12 @@
 //!   warm-up the hot loop performs no heap allocation (verified by the
 //!   `reno-alloctrack` counting-allocator test).
 //!
-//! All of this is *timing-invisible*: the reference whole-ROB polling
-//! scheduler is kept behind [`MachineConfig::naive_sched`], and the
-//! `sched_equivalence` property test plus the `pinned_timing` snapshots
-//! enforce cycle-for-cycle, counter-for-counter equality between the two.
+//! All of this is *timing-invisible*. The reference whole-ROB polling
+//! scheduler and the per-instruction oracle feed stay behind one switch,
+//! [`Simulator::with_reference_paths`], outside the machine configuration.
+//! The `sched_equivalence` and `feed_equivalence` suites and the
+//! `pinned_timing` snapshots enforce cycle-for-cycle, counter-for-counter
+//! equality between the default pipeline and the reference paths.
 //!
 //! # Sampling hooks
 //!

@@ -5,7 +5,6 @@ use reno_cpa::{Bucket, InstRecord};
 use reno_func::{Cpu, DynInst, Oracle};
 use reno_isa::{OpClass, Opcode, Program, Reg, RenameClass, STACK_TOP};
 use reno_mem::{MemHierarchy, ServedBy};
-use reno_par::Knob;
 use reno_trace::{BranchClass, EventKind, PipelineTrace, RenameOutcome, SquashCause, SysEventKind};
 use reno_uarch::{ControlKind, FrontEnd, StoreSets};
 use std::cmp::Reverse;
@@ -287,23 +286,14 @@ fn classify_control_op(op: Opcode, rs1: Reg) -> ControlKind {
     }
 }
 
-/// `RENO_FEED`: unset keeps the config's [`MachineConfig::batched_feed`],
-/// `batched` / `perinst` force a feed — a typo must not silently test the
-/// path it meant to avoid.
-const FEED: Knob<bool> = Knob {
-    name: "RENO_FEED",
-    valid: "batched, perinst (also per-inst, per_inst), or unset for the config's choice",
-    accept: |s| match s {
-        "batched" => Some(true),
-        "perinst" | "per-inst" | "per_inst" => Some(false),
-        _ => None,
-    },
-};
-
 /// The cycle-level out-of-order core. See the crate docs for the model, the
 /// event-driven scheduler, and an end-to-end example.
 pub struct Simulator<'p> {
     cfg: MachineConfig,
+    /// Run the reference paths: the whole-ROB polling scheduler and the
+    /// per-instruction `Oracle::next` feed (see
+    /// [`Simulator::with_reference_paths`]).
+    reference: bool,
     oracle: Oracle<'p>,
     oracle_done: bool,
     replay: VecDeque<u64>,
@@ -321,11 +311,9 @@ pub struct Simulator<'p> {
     dyn_mask: u64,
     /// Block-batched feed cursor: `[feed_head, feed_tail)` are sequence
     /// numbers already prefilled into the rings by `Oracle::refill` but not
-    /// yet handed to fetch. Unused (head == tail) on the per-instruction
-    /// feed path.
+    /// yet handed to fetch. Unused (head == tail) on the reference feed.
     feed_head: u64,
     feed_tail: u64,
-    batched_feed: bool,
 
     frontend: FrontEnd,
     fetch_buf: VecDeque<Fetched>,
@@ -353,7 +341,7 @@ pub struct Simulator<'p> {
 
     pregs: Vec<PregState>,
 
-    // --- Event-driven scheduler state (unused when `cfg.naive_sched`) ---
+    // --- Event-driven scheduler state (unused on the reference paths) ---
     /// Execution calendar: `exec_wheel[c % EXEC_WHEEL]` holds the sequence
     /// numbers selected to begin execution at cycle `c`, in program order.
     exec_wheel: [Vec<u64>; EXEC_WHEEL],
@@ -485,7 +473,6 @@ impl<'p> Simulator<'p> {
         // whatever slack that leaves.
         let dyn_ring_size = (cfg.rob_size + cfg.fetch_width * 5).next_power_of_two();
         let start_seq = cpu.executed();
-        let batched_feed = FEED.read().unwrap_or(cfg.batched_feed);
         let nop_class = RenameClass::of(&reno_isa::Inst::alu_ri(
             Opcode::Addi,
             Reg::ZERO,
@@ -523,7 +510,6 @@ impl<'p> Simulator<'p> {
             dyn_mask: dyn_ring_size as u64 - 1,
             feed_head: start_seq,
             feed_tail: start_seq,
-            batched_feed,
             fetch_buf: VecDeque::with_capacity(cfg.fetch_width * 4 + 1),
             fetch_stalled_until: 0,
             waiting_branch: None,
@@ -560,8 +546,24 @@ impl<'p> Simulator<'p> {
             extra_at: u64::MAX,
             mark_extra: None,
             next_mark: u64::MAX,
+            reference: false,
             cfg,
         }
+    }
+
+    /// Runs the reference implementations instead of the host-side
+    /// optimizations: the whole-ROB polling scheduler instead of the
+    /// event-driven one, and one `Oracle::next` call per fetched
+    /// instruction instead of the block-batched `Oracle::refill` feed.
+    ///
+    /// Simulated timing and every counter are identical either way; the
+    /// `sched_equivalence`, `feed_equivalence` and `pinned_timing` tests
+    /// compare the two.
+    /// The reference paths are slower and exist only as that baseline.
+    #[must_use]
+    pub fn with_reference_paths(mut self) -> Simulator<'p> {
+        self.reference = true;
+        self
     }
 
     /// Requests counter snapshots when `start` and `end` instructions (from
@@ -572,6 +574,13 @@ impl<'p> Simulator<'p> {
     /// the delta measures steady-state cycles without fill or drain edges.
     /// The run stops as soon as the end mark is taken — in-flight younger
     /// instructions are the caller's padding, not worth detailed cycles.
+    ///
+    /// Such a stopped run still reports exact counters and marks, but
+    /// [`SimResult::digest`], [`SimResult::checksum`] and
+    /// [`SimResult::halted`] come from the oracle, which has executed
+    /// ahead of retirement: as far as fetch got on the reference feed, and
+    /// as far as the last block refill on the default batched feed. They
+    /// describe neither the end boundary nor what the other feed reports.
     ///
     /// # Panics
     ///
@@ -621,7 +630,7 @@ impl<'p> Simulator<'p> {
             // `from_cpu_warm` is armed the same way as a cold one.
             self.mem.enable_trace();
         }
-        let naive = self.cfg.naive_sched;
+        let naive = self.reference;
         let mut last_progress = (0u64, 0u64);
         while !self.finished() && self.cycle < max_cycles {
             self.port_budget = self.cfg.store_ports;
@@ -1018,8 +1027,8 @@ impl<'p> Simulator<'p> {
     }
 
     /// Reference implementation: whole-ROB polling, kept (behind
-    /// [`MachineConfig::naive_sched`]) as the differential-testing baseline
-    /// for the event-driven scheduler.
+    /// [`Simulator::with_reference_paths`]) as the differential-testing
+    /// baseline for the event-driven scheduler.
     fn naive_execute_stage(&mut self) {
         // Gather this cycle's executers in program order; look them up by
         // sequence number because a violation squash may shift indices.
@@ -1074,7 +1083,7 @@ impl<'p> Simulator<'p> {
                 pr.ready_sel = u64::MAX;
                 pr.complete = u64::MAX;
             }
-            if !self.cfg.naive_sched {
+            if !self.reference {
                 self.file_iq(seq);
             }
             return;
@@ -1119,7 +1128,7 @@ impl<'p> Simulator<'p> {
     /// youngest older store with a known, overlapping address. Returns the
     /// store's ROB index and whether it fully covers the load.
     fn find_forward(&self, idx: usize, lrange: (u64, u64)) -> Option<(usize, bool)> {
-        if self.cfg.naive_sched {
+        if self.reference {
             for j in (0..idx).rev() {
                 let st = &self.rob[j];
                 if st.op.is_store() && st.has(F_ADDR_KNOWN) {
@@ -1150,7 +1159,7 @@ impl<'p> Simulator<'p> {
     /// oldest younger load that already executed with an overlapping
     /// address and was not satisfied by an intervening store.
     fn find_violation(&self, idx: usize, srange: (u64, u64)) -> Option<usize> {
-        if self.cfg.naive_sched {
+        if self.reference {
             'outer: for j in idx + 1..self.rob.len() {
                 let ld = &self.rob[j];
                 if !ld.op.is_load() || !ld.has(F_EXEC_DONE) || ld.has(F_ELIMINATED) {
@@ -1252,7 +1261,7 @@ impl<'p> Simulator<'p> {
                     pr.complete = u64::MAX;
                 }
                 self.stats.replays += 1;
-                if !self.cfg.naive_sched {
+                if !self.reference {
                     self.file_iq(seq);
                 }
                 return;
@@ -1276,7 +1285,7 @@ impl<'p> Simulator<'p> {
         if dst != NONE32 {
             let ready = self.consumer_ready_from_complete(complete);
             let pr = &mut self.pregs[dst as usize];
-            if !self.cfg.naive_sched && ready < pr.ready_sel {
+            if !self.reference && ready < pr.ready_sel {
                 // The load beat its optimistic hit wakeup (MSHR merge with
                 // an in-flight fill): sleeping consumers hold stale promises.
                 self.resched_all = true;
@@ -1516,7 +1525,7 @@ impl<'p> Simulator<'p> {
     }
 
     /// Reference implementation of select: scan the whole ROB oldest-first.
-    /// Kept (behind [`MachineConfig::naive_sched`]) as the
+    /// Kept (behind [`Simulator::with_reference_paths`]) as the
     /// differential-testing baseline for the event-driven scheduler.
     fn naive_select_stage(&mut self) {
         let mut total = self.cfg.issue_width;
@@ -1599,7 +1608,7 @@ impl<'p> Simulator<'p> {
             let pr = &mut self.pregs[p];
             pr.complete = complete;
             pr.ready_sel = ready;
-            if !self.cfg.naive_sched {
+            if !self.reference {
                 // The register's promise went from "unknown" to a concrete
                 // cycle: wake consumers parked on it.
                 let waiters = &mut self.preg_waiters[p];
@@ -1608,7 +1617,7 @@ impl<'p> Simulator<'p> {
                 }
             }
         }
-        if !self.cfg.naive_sched {
+        if !self.reference {
             self.exec_wheel[(exec_start % EXEC_WHEEL as u64) as usize].push(seq);
         }
     }
@@ -1788,7 +1797,7 @@ impl<'p> Simulator<'p> {
                     t.push(self.cycle + 1, f.seq, EventKind::Complete);
                 }
             }
-            if needs_iq && !self.cfg.naive_sched {
+            if needs_iq && !self.reference {
                 self.file_iq(f.seq);
             }
             if flags & F_NEEDS_REEXEC != 0 {
@@ -1806,7 +1815,7 @@ impl<'p> Simulator<'p> {
     /// On the batched path the oracle prefills the rings a decoded block at
     /// a time (`Oracle::refill`), so the per-instruction cost here is a
     /// cursor increment; the per-instruction path is kept as the
-    /// differential baseline (see [`MachineConfig::batched_feed`]).
+    /// differential baseline (see [`Simulator::with_reference_paths`]).
     fn next_feed(&mut self) -> Option<(u64, bool)> {
         if let Some(seq) = self.replay.pop_front() {
             return Some((seq, true));
@@ -1814,7 +1823,7 @@ impl<'p> Simulator<'p> {
         if self.oracle_done || self.halt_seen {
             return None;
         }
-        if self.batched_feed {
+        if !self.reference {
             if self.feed_head == self.feed_tail {
                 // Ring room: everything from the oldest live in-flight seq
                 // (ROB head, else the oldest fetch-buffered) through the
@@ -1961,23 +1970,6 @@ mod tests {
     use reno_core::RenoConfig;
     use reno_func::run_to_completion;
     use reno_isa::Asm;
-
-    #[test]
-    fn malformed_feed_is_rejected_loudly() {
-        assert_eq!(FEED.parse(None), Ok(None));
-        assert_eq!(FEED.parse(Some("")), Ok(None));
-        assert_eq!(FEED.parse(Some("batched")), Ok(Some(true)));
-        for per_inst in ["perinst", "per-inst", "per_inst"] {
-            assert_eq!(FEED.parse(Some(per_inst)), Ok(Some(false)));
-        }
-        for bad in ["batch", "PERINST", "on", "1"] {
-            let e = FEED.parse(Some(bad)).unwrap_err();
-            assert!(
-                e.contains(&format!("{bad:?}")) && e.contains("batched") && e.contains("perinst"),
-                "{e}"
-            );
-        }
-    }
 
     fn loop_program(iters: i64) -> Program {
         let mut a = Asm::named("loop");
@@ -2202,19 +2194,5 @@ mod tests {
             .run(1 << 22);
         assert!(!r.halted);
         assert_eq!(r.retired, 5_000);
-    }
-
-    #[test]
-    fn naive_scheduler_produces_identical_results() {
-        let p = loop_program(800);
-        for cfg in [RenoConfig::baseline(), RenoConfig::reno()] {
-            let fast = Simulator::new(&p, MachineConfig::four_wide(cfg)).run(1 << 22);
-            let naive =
-                Simulator::new(&p, MachineConfig::four_wide(cfg).with_naive_sched()).run(1 << 22);
-            assert_eq!(fast.cycles, naive.cycles, "{cfg:?}");
-            assert_eq!(fast.retired, naive.retired, "{cfg:?}");
-            assert_eq!(fast.stats, naive.stats, "{cfg:?}");
-            assert_eq!(fast.checksum, naive.checksum, "{cfg:?}");
-        }
     }
 }

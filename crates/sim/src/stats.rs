@@ -71,10 +71,20 @@ pub struct SimResult {
     pub hier: HierarchyStats,
     /// Architectural state digest of the completed program (for
     /// functional-vs-timing equivalence checks).
+    ///
+    /// This field, [`SimResult::checksum`] and [`SimResult::halted`] are
+    /// read from the oracle when the run ends. After a drained run (halt
+    /// or fuel exhausted) that is the program's state at its last retired
+    /// instruction. A run stopped at its measure-window end mark (see
+    /// [`crate::Simulator::with_measure_window`]) or at `max_cycles`
+    /// reports wherever the oracle had executed ahead to, which depends on
+    /// the feed.
     pub digest: u64,
-    /// Output checksum of the program.
+    /// Output checksum of the program (oracle state; see
+    /// [`SimResult::digest`]).
     pub checksum: u64,
-    /// Whether the program ran to its `halt`.
+    /// Whether the program ran to its `halt` (oracle state; see
+    /// [`SimResult::digest`]).
     pub halted: bool,
     /// Per-instruction records for critical-path analysis (empty unless
     /// enabled in the configuration).

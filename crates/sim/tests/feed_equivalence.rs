@@ -1,137 +1,58 @@
-//! Differential property test for the block-batched oracle feed.
+//! Differential suite for the block-batched oracle feed, on runs cut short
+//! of the program's end.
 //!
 //! The batched feed (`Oracle::refill` prefilling the sequence-indexed
 //! `DynInst`/`RenameClass` rings a decoded block at a time) must be
 //! **cycle-for-cycle and counter-for-counter identical** to the
-//! per-instruction `Oracle::next` feed it replaces. Random programs —
-//! exercising folds, multiplies, partial-width store forwarding, pointer
-//! aliasing (misintegrations), memory-ordering violations, squash replays
-//! and data-dependent branches — run through both feeds under several
-//! machine shapes, and every observable of the run must match exactly.
-//!
-//! The per-instruction path is kept behind
-//! [`MachineConfig::with_per_inst_feed`] (or `RENO_FEED=perinst`) as this
-//! suite's baseline, like `naive_sched` for the scheduler.
+//! per-instruction `Oracle::next` feed it replaced, which
+//! `Simulator::with_reference_paths` runs together with the whole-ROB
+//! polling scheduler. The feed's edges are where a run does not simply
+//! drain: fuel running out mid-program (the oracle runs dry), and a
+//! sampled window — the pipeline resumed through `Simulator::from_cpu`
+//! part of the way into the program and stopped at its end mark, with the
+//! batched feed executed ahead of retirement. Random programs and the
+//! directed program run under four machine shapes, and every Tiny workload
+//! under BASE and RENO. Runs drained to halt are `sched_equivalence.rs`'s.
 
+mod equivalence;
+
+use equivalence::{
+    all_classes_body, assert_counters_equal, assert_equal, base_and_reno, both, gen_program,
+    machines,
+};
 use proptest::prelude::*;
 use reno_core::RenoConfig;
-use reno_isa::{Asm, Program, Reg};
-use reno_sim::{MachineConfig, SimResult, Simulator};
+use reno_func::{run_to_completion, Cpu};
+use reno_isa::Program;
+use reno_sim::{MachineConfig, Simulator};
+use reno_workloads::{all_workloads, Scale};
 
-/// Builds a random-but-terminating program from a byte recipe (same pool as
-/// the scheduler-equivalence suite: ALU chains, loads/stores with
-/// partial-width overlaps, an aliased pointer store, and skip branches).
-fn gen_program(body: &[u8], iters: u8) -> Program {
-    let mut a = Asm::named("feedequiv");
-    let buf = a.zeros("buf", 512);
-    let ptr = a.words("ptr", &[buf + 64]);
-    a.li(Reg::S0, buf as i64);
-    a.li(Reg::S1, ptr as i64);
-    a.li(Reg::T0, i64::from(iters % 24) + 2);
-    a.li(Reg::T1, 0x1234_5678);
-    a.li(Reg::T2, 7);
-    a.li(Reg::T3, 3);
-    a.label("loop");
-    for (i, &b) in body.iter().enumerate() {
-        let disp = i16::from(b >> 4) * 8;
-        match b % 12 {
-            0 => {
-                a.add(Reg::T1, Reg::T1, Reg::T2);
-            }
-            1 => {
-                a.addi(Reg::T2, Reg::T2, i16::from(b) - 128);
-            }
-            2 => {
-                a.mul(Reg::T3, Reg::T3, Reg::T2);
-            }
-            3 => {
-                a.mov(Reg::T4, Reg::T1);
-            }
-            4 => {
-                a.ld(Reg::T5, Reg::S0, disp);
-                a.add(Reg::T1, Reg::T1, Reg::T5);
-            }
-            5 => {
-                a.st(Reg::T1, Reg::S0, disp);
-            }
-            6 => {
-                // Partial-width overlap: a narrow store under a wide load.
-                a.sth(Reg::T2, Reg::S0, disp + 2);
-                a.ld(Reg::T6, Reg::S0, disp);
-                a.add(Reg::T1, Reg::T1, Reg::T6);
-            }
-            7 => {
-                // Aliased store through a loaded pointer (IT cannot see it),
-                // then a reload: provokes misintegrations and violations —
-                // i.e. squash replays re-reading the prefilled rings.
-                a.ld(Reg::T4, Reg::S1, 0);
-                a.st(Reg::T2, Reg::T4, 0);
-                a.ld(Reg::T5, Reg::S0, 64);
-                a.add(Reg::T1, Reg::T1, Reg::T5);
-            }
-            8 => {
-                // Data-dependent skip branch (LCG parity: mispredicts).
-                let skip = format!("sk{i}");
-                a.andi(Reg::T6, Reg::T1, 1);
-                a.beqz(Reg::T6, &skip);
-                a.addi(Reg::T1, Reg::T1, 13);
-                a.label(&skip);
-            }
-            9 => {
-                a.ldbu(Reg::T5, Reg::S0, disp + 1);
-                a.add(Reg::T3, Reg::T3, Reg::T5);
-            }
-            10 => {
-                a.stb(Reg::T3, Reg::S0, disp + 5);
-            }
-            _ => {
-                a.xor(Reg::T1, Reg::T1, Reg::T3);
-            }
-        }
+/// A functional machine stepped a third of the way through `program`, and
+/// the program's dynamic length.
+fn third_of_the_way(program: &Program) -> (Cpu, u64) {
+    let (_, run) = run_to_completion(program, u64::MAX).expect("program runs");
+    let len = run.executed;
+    let mut cpu = Cpu::new(program);
+    for _ in 0..len / 3 {
+        cpu.step(program).expect("fast-forward steps");
     }
-    a.addi(Reg::T0, Reg::T0, -1);
-    a.bnez(Reg::T0, "loop");
-    a.out(Reg::T1);
-    a.out(Reg::T3);
-    a.halt();
-    a.assemble().expect("generated program assembles")
+    (cpu, len)
 }
 
-fn assert_equal(batched: &SimResult, perinst: &SimResult, what: &str) {
-    assert_eq!(batched.cycles, perinst.cycles, "cycles [{what}]");
-    assert_eq!(batched.retired, perinst.retired, "retired [{what}]");
-    assert_eq!(batched.checksum, perinst.checksum, "checksum [{what}]");
-    assert_eq!(batched.digest, perinst.digest, "digest [{what}]");
-    assert_eq!(batched.stats, perinst.stats, "SimStats [{what}]");
-    assert_eq!(batched.reno, perinst.reno, "RenoStats [{what}]");
-    assert_eq!(batched.it, perinst.it, "ItStats [{what}]");
-    assert_eq!(batched.frontend, perinst.frontend, "FrontEndStats [{what}]");
-    assert_eq!(batched.caches, perinst.caches, "CacheStats [{what}]");
-    assert_eq!(batched.halted, perinst.halted, "halted [{what}]");
-}
-
-fn machines() -> Vec<(&'static str, MachineConfig)> {
-    vec![
-        ("4w-base", MachineConfig::four_wide(RenoConfig::baseline())),
-        ("4w-reno", MachineConfig::four_wide(RenoConfig::reno())),
-        (
-            "6w-reno-fi",
-            MachineConfig::six_wide(RenoConfig::reno_full_integration()),
-        ),
-        (
-            "4w-reno-2c-p64",
-            MachineConfig::four_wide(RenoConfig::reno())
-                .with_sched_loop(2)
-                .with_pregs(64),
-        ),
-    ]
-}
-
-/// Skip when the environment pins the feed (the CI golden jobs run with
-/// `RENO_FEED` set; the override would make both sides identical and the
-/// comparison vacuous).
-fn feed_pinned() -> bool {
-    std::env::var_os("RENO_FEED").is_some()
+/// Resumes `program` on `m` from a third of the way in and measures the
+/// window from 1/12 to 1/3 of its length past that point, on both paths.
+/// The run stops at the end mark, so counters and marks must agree.
+fn assert_resumed_window_equal(program: &Program, m: &MachineConfig, what: &str) {
+    let (cpu, len) = third_of_the_way(program);
+    let (fast, reference) = both(
+        || {
+            Simulator::from_cpu(program, m.clone(), cpu.clone(), u64::MAX)
+                .with_measure_window(len / 12, len / 3)
+        },
+        1 << 26,
+    );
+    assert!(fast.mark_end.is_some(), "{what}: the end mark is reached");
+    assert_counters_equal(&fast, &reference, what);
 }
 
 proptest! {
@@ -142,14 +63,9 @@ proptest! {
         body in prop::collection::vec(any::<u8>(), 1..40),
         iters in any::<u8>(),
     ) {
-        if feed_pinned() {
-            return;
-        }
         let p = gen_program(&body, iters);
         for (name, m) in machines() {
-            let batched = Simulator::new(&p, m.clone()).run(1 << 22);
-            let perinst = Simulator::new(&p, m.with_per_inst_feed()).run(1 << 22);
-            assert_equal(&batched, &perinst, name);
+            assert_resumed_window_equal(&p, &m, name);
         }
     }
 
@@ -161,15 +77,10 @@ proptest! {
         iters in any::<u8>(),
         fuel in 1u64..4000,
     ) {
-        if feed_pinned() {
-            return;
-        }
         let p = gen_program(&body, iters);
         let m = MachineConfig::four_wide(RenoConfig::reno());
-        let batched = Simulator::with_fuel(&p, m.clone(), fuel).run(1 << 22);
-        let perinst =
-            Simulator::with_fuel(&p, m.with_per_inst_feed(), fuel).run(1 << 22);
-        assert_equal(&batched, &perinst, "fuel-cut");
+        let (fast, reference) = both(|| Simulator::with_fuel(&p, m.clone(), fuel), 1 << 22);
+        assert_equal(&fast, &reference, "fuel-cut");
     }
 }
 
@@ -177,14 +88,18 @@ proptest! {
 /// chosen to hit every instruction class in one program.
 #[test]
 fn directed_all_classes_feed_equivalence() {
-    if feed_pinned() {
-        return;
-    }
-    let body: Vec<u8> = (0u8..=255).step_by(3).collect();
-    let p = gen_program(&body, 17);
+    let p = gen_program(&all_classes_body(), 17);
     for (name, m) in machines() {
-        let batched = Simulator::new(&p, m.clone()).run(1 << 24);
-        let perinst = Simulator::new(&p, m.with_per_inst_feed()).run(1 << 24);
-        assert_equal(&batched, &perinst, name);
+        assert_resumed_window_equal(&p, &m, name);
+    }
+}
+
+/// The path every sampled window takes, on real kernels.
+#[test]
+fn resumed_windows_are_cycle_exact() {
+    for w in all_workloads(Scale::Tiny) {
+        for (cname, m) in base_and_reno() {
+            assert_resumed_window_equal(&w.program, &m, &format!("{}/{cname} resumed", w.name));
+        }
     }
 }

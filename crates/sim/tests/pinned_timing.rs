@@ -4,7 +4,8 @@
 //! must not move timing by even one cycle: "RENO changes timing, never
 //! results" extends to "host optimization changes nothing at all". These
 //! tests pin exact `(cycles, retired)` pairs for four kernels under the
-//! baseline and full-RENO configurations; any accidental timing drift fails
+//! baseline and full-RENO configurations, on the default pipeline and on
+//! the reference scheduler and feed; any accidental timing drift fails
 //! loudly and prints the full observed table for comparison.
 //!
 //! If a *deliberate* timing-model change lands (a new latency, a different
@@ -125,6 +126,17 @@ const PINS: &[(&str, &str, u64, u64)] = &[
 
 #[test]
 fn pinned_cycle_counts() {
+    check_pins(false);
+}
+
+/// The reference scheduler and feed (see
+/// `Simulator::with_reference_paths`) reproduce every pin.
+#[test]
+fn pinned_cycle_counts_on_reference_paths() {
+    check_pins(true);
+}
+
+fn check_pins(reference: bool) {
     let kernels: [(&str, Program); 4] = [
         ("fold", fold_loop()),
         ("fwd", forward_kernel()),
@@ -137,7 +149,11 @@ fn pinned_cycle_counts() {
             ("base", RenoConfig::baseline()),
             ("reno", RenoConfig::reno()),
         ] {
-            let r = Simulator::new(p, MachineConfig::four_wide(cfg)).run(1 << 26);
+            let mut sim = Simulator::new(p, MachineConfig::four_wide(cfg));
+            if reference {
+                sim = sim.with_reference_paths();
+            }
+            let r = sim.run(1 << 26);
             assert!(r.halted, "{kname}/{cname} halts");
             observed.push((*kname, cname, r.cycles, r.retired));
         }
@@ -156,7 +172,7 @@ fn pinned_cycle_counts() {
         assert_eq!(
             (*k, *c, *cy, *re),
             *pin,
-            "timing drift detected; observed table:\n{}",
+            "timing drift detected (reference paths: {reference}); observed table:\n{}",
             table.join("\n")
         );
     }

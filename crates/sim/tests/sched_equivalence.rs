@@ -1,130 +1,23 @@
-//! Differential property test for the event-driven scheduler.
+//! Differential suite for the event-driven scheduler, on runs that drain to
+//! the program's end.
 //!
 //! The event-driven scheduler (exec calendar wheel + wakeup wheel + ready
 //! list + per-register waiter lists) must be *cycle-for-cycle identical* to
-//! the naive whole-ROB polling scheduler it replaced. Random programs —
-//! exercising folds, multiplies, partial-width store forwarding, pointer
-//! aliasing (misintegrations), memory-ordering violations and data-dependent
-//! branches — run through both schedulers under several machine shapes, and
-//! every observable of the run must match exactly.
+//! the whole-ROB polling scheduler it replaced, which
+//! `Simulator::with_reference_paths` runs together with the per-instruction
+//! oracle feed. Random programs — exercising folds, multiplies,
+//! partial-width store forwarding, pointer aliasing (misintegrations),
+//! memory-ordering violations and data-dependent branches — run under four
+//! machine shapes, and every Tiny workload under BASE and RENO; every
+//! observable of each run, final program state included, must match
+//! exactly. Runs cut short of the end are `feed_equivalence.rs`'s.
 
+mod equivalence;
+
+use equivalence::{all_classes_body, assert_equal, base_and_reno, both, gen_program, machines};
 use proptest::prelude::*;
-use reno_core::RenoConfig;
-use reno_isa::{Asm, Program, Reg};
-use reno_sim::{MachineConfig, SimResult, Simulator};
-
-/// Builds a random-but-terminating program from a byte recipe. Every byte
-/// appends one loop-body instruction chosen from a pool that covers the
-/// scheduler's interesting paths (ALU chains, multiplies, loads, stores,
-/// partial-width overlaps, an aliased pointer store, and skip branches).
-fn gen_program(body: &[u8], iters: u8) -> Program {
-    let mut a = Asm::named("equiv");
-    let buf = a.zeros("buf", 512);
-    // `ptr` holds the address of buf[64..], creating a name-invisible alias.
-    let ptr = a.words("ptr", &[buf + 64]);
-    a.li(Reg::S0, buf as i64);
-    a.li(Reg::S1, ptr as i64);
-    a.li(Reg::T0, i64::from(iters % 24) + 2);
-    a.li(Reg::T1, 0x1234_5678);
-    a.li(Reg::T2, 7);
-    a.li(Reg::T3, 3);
-    a.label("loop");
-    for (i, &b) in body.iter().enumerate() {
-        let disp = i16::from(b >> 4) * 8; // 0..=120, 8-aligned inside buf
-        match b % 13 {
-            0 => {
-                a.add(Reg::T1, Reg::T1, Reg::T2);
-            }
-            1 => {
-                a.addi(Reg::T2, Reg::T2, i16::from(b) - 128);
-            }
-            2 => {
-                a.mul(Reg::T3, Reg::T3, Reg::T2);
-            }
-            3 => {
-                a.slli(Reg::T2, Reg::T1, i16::from(b % 5));
-            }
-            4 => {
-                a.mov(Reg::T4, Reg::T1);
-            }
-            5 => {
-                a.ld(Reg::T5, Reg::S0, disp);
-                a.add(Reg::T1, Reg::T1, Reg::T5);
-            }
-            6 => {
-                a.st(Reg::T1, Reg::S0, disp);
-            }
-            7 => {
-                // Partial-width overlap: a narrow store under a wide load.
-                a.sth(Reg::T2, Reg::S0, disp + 2);
-                a.ld(Reg::T6, Reg::S0, disp);
-                a.add(Reg::T1, Reg::T1, Reg::T6);
-            }
-            8 => {
-                // Aliased store through a loaded pointer (IT cannot see it),
-                // then a reload: provokes misintegrations and violations.
-                a.ld(Reg::T4, Reg::S1, 0);
-                a.st(Reg::T2, Reg::T4, 0);
-                a.ld(Reg::T5, Reg::S0, 64);
-                a.add(Reg::T1, Reg::T1, Reg::T5);
-            }
-            9 => {
-                // Data-dependent skip branch (LCG parity: mispredicts).
-                let skip = format!("sk{i}");
-                a.andi(Reg::T6, Reg::T1, 1);
-                a.beqz(Reg::T6, &skip);
-                a.addi(Reg::T1, Reg::T1, 13);
-                a.label(&skip);
-            }
-            10 => {
-                a.ldbu(Reg::T5, Reg::S0, disp + 1);
-                a.add(Reg::T3, Reg::T3, Reg::T5);
-            }
-            11 => {
-                a.stb(Reg::T3, Reg::S0, disp + 5);
-            }
-            _ => {
-                a.xor(Reg::T1, Reg::T1, Reg::T3);
-            }
-        }
-    }
-    a.addi(Reg::T0, Reg::T0, -1);
-    a.bnez(Reg::T0, "loop");
-    a.out(Reg::T1);
-    a.out(Reg::T3);
-    a.halt();
-    a.assemble().expect("generated program assembles")
-}
-
-fn assert_equal(fast: &SimResult, naive: &SimResult, what: &str) {
-    assert_eq!(fast.cycles, naive.cycles, "cycles [{what}]");
-    assert_eq!(fast.retired, naive.retired, "retired [{what}]");
-    assert_eq!(fast.checksum, naive.checksum, "checksum [{what}]");
-    assert_eq!(fast.digest, naive.digest, "digest [{what}]");
-    assert_eq!(fast.stats, naive.stats, "SimStats [{what}]");
-    assert_eq!(fast.reno, naive.reno, "RenoStats [{what}]");
-    assert_eq!(fast.it, naive.it, "ItStats [{what}]");
-    assert_eq!(fast.frontend, naive.frontend, "FrontEndStats [{what}]");
-    assert_eq!(fast.caches, naive.caches, "CacheStats [{what}]");
-    assert_eq!(fast.halted, naive.halted, "halted [{what}]");
-}
-
-fn machines() -> Vec<(&'static str, MachineConfig)> {
-    vec![
-        ("4w-base", MachineConfig::four_wide(RenoConfig::baseline())),
-        ("4w-reno", MachineConfig::four_wide(RenoConfig::reno())),
-        (
-            "6w-reno-fi",
-            MachineConfig::six_wide(RenoConfig::reno_full_integration()),
-        ),
-        (
-            "4w-reno-2c-p64",
-            MachineConfig::four_wide(RenoConfig::reno())
-                .with_sched_loop(2)
-                .with_pregs(64),
-        ),
-    ]
-}
+use reno_sim::Simulator;
+use reno_workloads::{all_workloads, Scale};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
@@ -136,9 +29,8 @@ proptest! {
     ) {
         let p = gen_program(&body, iters);
         for (name, m) in machines() {
-            let fast = Simulator::new(&p, m.clone()).run(1 << 22);
-            let naive = Simulator::new(&p, m.with_naive_sched()).run(1 << 22);
-            assert_equal(&fast, &naive, name);
+            let (fast, reference) = both(|| Simulator::new(&p, m.clone()), 1 << 22);
+            assert_equal(&fast, &reference, name);
         }
     }
 }
@@ -147,11 +39,20 @@ proptest! {
 /// chosen to hit every instruction class in one program.
 #[test]
 fn directed_all_classes_equivalence() {
-    let body: Vec<u8> = (0u8..=255).step_by(3).collect();
-    let p = gen_program(&body, 17);
+    let p = gen_program(&all_classes_body(), 17);
     for (name, m) in machines() {
-        let fast = Simulator::new(&p, m.clone()).run(1 << 24);
-        let naive = Simulator::new(&p, m.with_naive_sched()).run(1 << 24);
-        assert_equal(&fast, &naive, name);
+        let (fast, reference) = both(|| Simulator::new(&p, m.clone()), 1 << 24);
+        assert_equal(&fast, &reference, name);
+    }
+}
+
+#[test]
+fn tiny_workloads_are_cycle_exact() {
+    for w in all_workloads(Scale::Tiny) {
+        for (cname, m) in base_and_reno() {
+            let (fast, reference) = both(|| Simulator::new(&w.program, m.clone()), 1 << 26);
+            assert!(fast.halted, "{}/{cname} halts", w.name);
+            assert_equal(&fast, &reference, &format!("{}/{cname}", w.name));
+        }
     }
 }

@@ -21,10 +21,10 @@ use reno_trace::{
     SquashCause,
 };
 
-/// Same recipe as `sched_equivalence`: a random-but-terminating loop over an
-/// instruction pool that exercises folds, multiplies, partial-width
-/// forwarding, aliased pointer stores (misintegrations + violations) and
-/// data-dependent branches.
+/// Same recipe as the equivalence suites: a random-but-terminating loop
+/// over an instruction pool that exercises folds, multiplies,
+/// partial-width forwarding, aliased pointer stores (misintegrations +
+/// violations) and data-dependent branches.
 fn gen_program(body: &[u8], iters: u8) -> Program {
     let mut a = Asm::named("tracegen");
     let buf = a.zeros("buf", 512);
