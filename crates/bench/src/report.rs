@@ -31,7 +31,7 @@
 //! sides' quartile spreads (interquartile range over median) plus
 //! [`NOISE_FLOOR`]; a side with fewer than [`MIN_RUNS`] runs fails too.
 
-use crate::trace_stats::{parse_json, Value};
+use reno_trace::{parse_json, Value};
 use std::ffi::OsString;
 use std::fmt::Write as _;
 use std::path::PathBuf;

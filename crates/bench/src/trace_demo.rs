@@ -112,7 +112,7 @@ pub fn sampled_demo_json() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reno_trace::validate_json;
+    use reno_trace::parse_json;
 
     /// The committed golden pins the whole observability path end to end:
     /// kernel semantics, pipeline timing, trace hook placement, and the
@@ -159,7 +159,7 @@ mod tests {
         assert!(t.retire_count() > 100, "windows recorded pipeline events");
         assert!(!t.sys.is_empty(), "windows recorded system-track events");
         let json = sampled_demo_json();
-        validate_json(&json).expect("valid Chrome trace JSON");
+        parse_json(&json).expect("valid Chrome trace JSON");
         let report = crate::trace_stats::analyze(&json).expect("analyzable");
         assert!(report.contains("## per-window table"));
     }
@@ -168,7 +168,7 @@ mod tests {
     fn demo_run_crosses_every_event_class() {
         let r = demo_run();
         let json = demo_json();
-        validate_json(&json).expect("valid Chrome trace JSON");
+        parse_json(&json).expect("valid Chrome trace JSON");
         assert!(r.retired > 100, "demo retires a few hundred instructions");
         assert!(r.reno.moves > 0, "move elimination exercised");
         assert!(r.reno.const_folds > 0, "constant folding exercised");

@@ -14,239 +14,14 @@
 //! The report is deterministic text: equal traces produce equal bytes, so
 //! `golden/trace_stats_tiny.txt` pins the whole path (writer format,
 //! parser, and every aggregation) and CI diffs it on every push. The input
-//! is first gated by [`reno_trace::validate_json`] and then parsed by the
-//! small recursive-descent reader below — no external JSON crate, same
-//! zero-dependency policy as the rest of the workspace.
+//! is read by [`reno_trace::parse_json`], the writer's own crate's reader —
+//! no external JSON crate, same zero-dependency policy as the rest of the
+//! workspace.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
-use reno_trace::validate_json;
-
-// ---------------------------------------------------------------------------
-// Minimal JSON value parser (the input is pre-validated, so errors here are
-// "writer format drifted" bugs, reported with byte offsets).
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Object keys keep insertion order (the writer is
-/// deterministic, so lookups never depend on it).
-#[derive(Debug)]
-pub enum Value {
-    /// `{...}` — key/value pairs in document order.
-    Obj(Vec<(String, Value)>),
-    /// `[...]`
-    Arr(Vec<Value>),
-    /// `"..."`
-    Str(String),
-    /// Any number (the export only writes integers and short decimals,
-    /// all exactly representable).
-    Num(f64),
-    /// `true` / `false`
-    Bool(bool),
-    /// `null`
-    Null,
-}
-
-impl Value {
-    /// Object field lookup; `None` on missing key or non-object.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as a non-negative integer (cycle counts, ids).
-    pub fn as_u64(&self) -> Option<u64> {
-        self.as_f64().filter(|n| *n >= 0.0).map(|n| n as u64)
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.b.len() && self.b[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn err(&self, what: &str) -> String {
-        format!("{what} at byte {}", self.pos)
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.pos < self.b.len() && self.b[self.pos] == c {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", c as char)))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.b.get(self.pos).copied()
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.b[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err("bad literal"))
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        while self.pos < self.b.len() {
-            match self.b[self.pos] {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = *self
-                        .b
-                        .get(self.pos)
-                        .ok_or_else(|| self.err("open escape"))?;
-                    s.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        _ => return Err(self.err("unsupported escape")),
-                    });
-                    self.pos += 1;
-                }
-                c => {
-                    s.push(c as char);
-                    self.pos += 1;
-                }
-            }
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.b.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self
-            .b
-            .get(self.pos)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.pos])
-            .ok()
-            .and_then(|t| t.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| self.err("bad number"))
-    }
-}
-
-/// Parses one JSON document. The caller is expected to have run
-/// [`validate_json`] first; this reports its own offsets for defense in
-/// depth.
-///
-/// # Errors
-///
-/// A description and byte offset of the first syntax problem.
-pub fn parse_json(s: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        b: s.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.b.len() {
-        return Err(p.err("trailing garbage"));
-    }
-    Ok(v)
-}
+use reno_trace::{parse_json, Value};
 
 // ---------------------------------------------------------------------------
 // Analysis
@@ -312,7 +87,6 @@ fn weighted_percentiles(samples: &[(u64, i64)], end: u64, qs: &[f64]) -> Vec<i64
 /// Invalid JSON (with byte offset) or a document that is not a Chrome
 /// trace-event export (`traceEvents` missing).
 pub fn analyze(json: &str) -> Result<String, String> {
-    validate_json(json)?;
     let doc = parse_json(json)?;
     let events = match doc.get("traceEvents") {
         Some(Value::Arr(items)) => items,

@@ -8,7 +8,7 @@
 //! the committed windows.
 
 use reno_bench::report::{benchmark_metrics, check, record, validate, Metric, MIN_RUNS};
-use reno_bench::trace_stats::parse_json;
+use reno_trace::parse_json;
 use std::io::Write as _;
 use std::process::{Command, Stdio};
 

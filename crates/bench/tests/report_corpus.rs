@@ -1,7 +1,7 @@
 //! Named regression corpus for `BENCH_sim.json` rejection classes.
 //!
-//! Each test pins one corruption class the `fuzz_report` harness probes
-//! randomly: the class must map to a structured `Err` with a stable,
+//! Each test pins one corruption class `reno-fuzz`'s `report` surface
+//! probes randomly: the class must map to a structured `Err` with a stable,
 //! recognizable message — never a panic and never silent acceptance. The
 //! asserted substrings are the rejection taxonomy; if one changes, the
 //! harness's findings stop reproducing against the documented classes, so

@@ -179,7 +179,9 @@ impl IntegrationTable {
     fn entry_live(e: &Entry, fl: &RefCountFreeList) -> bool {
         e.valid
             && e.key.in1.gen == fl.generation(e.key.in1.preg)
-            && e.key.in2.is_none_or(|i2| i2.gen == fl.generation(i2.preg))
+            && e.key
+                .in2
+                .map_or(true, |i2| i2.gen == fl.generation(i2.preg))
             && e.out_gen == fl.generation(e.out.preg)
     }
 

@@ -25,8 +25,8 @@
 //! otherwise invisible to per-cell records.
 //!
 //! Replay itself is the pure function [`replay_journal`] (no filesystem),
-//! which is what the `fuzz_journal` harness and the journal corpus tests
-//! drive directly.
+//! which is what `reno-fuzz`'s `journal` surface and the journal corpus
+//! tests drive directly.
 //!
 //! Failure messages are hex-encoded so arbitrary panic text (spaces,
 //! newlines) cannot break the line framing.

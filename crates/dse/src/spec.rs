@@ -27,7 +27,7 @@
 //! with a line number — a typo'd spec must fail loudly up front, not
 //! silently sweep the wrong grid. (The spec file is the service's one
 //! semi-trusted *text* surface; everything it writes and reads back on disk
-//! is the binary surface covered by `fuzz_store`.)
+//! is the binary surface `reno-fuzz`'s `store` surface covers.)
 
 use reno_core::RenoConfig;
 use reno_sim::MachineConfig;

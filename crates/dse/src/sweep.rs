@@ -572,7 +572,7 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
             spec: Arc::clone(&spec_arc),
             workload: Arc::clone(&wl_arcs[cell.wl_idx]),
             cfg: cell.cfg.clone(),
-            sc: sc.clone(),
+            sc,
             pass: pass_arcs[cell.wl_idx].clone(),
             id: cell.id.clone(),
             index: i,
@@ -714,7 +714,7 @@ mod tests {
         };
         let json = s.to_json();
         assert!(json.ends_with('\n'), "one newline-terminated line");
-        reno_trace::validate_json(json.trim_end()).expect("valid JSON");
+        reno_trace::parse_json(json.trim_end()).expect("valid JSON");
         assert!(json.starts_with("{\"schema\":\"reno-dse-stats-v3\","));
         for (key, value) in [
             ("cells", 12u64),
@@ -738,6 +738,6 @@ mod tests {
             );
         }
         // Defaults serialize too (a sweep that did nothing still reports).
-        reno_trace::validate_json(SweepStats::default().to_json().trim_end()).expect("valid JSON");
+        reno_trace::parse_json(SweepStats::default().to_json().trim_end()).expect("valid JSON");
     }
 }

@@ -1,7 +1,7 @@
 //! Named regression corpus for store-entry rejection classes.
 //!
-//! Each test pins one corruption class the `fuzz_store` harness probes
-//! randomly: the class must map to a structured rejection — which the
+//! Each test pins one corruption class `reno-fuzz`'s `store` surface
+//! probes randomly: the class must map to a structured rejection — which the
 //! store turns into quarantine + recompute — never a panic, a wrong
 //! payload, or an attacker-sized allocation.
 

@@ -1,7 +1,7 @@
 //! Fuzz regression corpus for checkpoint deserialization.
 //!
 //! Each test pins one rejection class the structure-aware mutational fuzzer
-//! (`reno-fuzz`'s `fuzz_checkpoint`) exercises, as plain deterministic cases
+//! (`reno-fuzz`'s `checkpoint` surface) exercises, as plain deterministic cases
 //! CI replays forever without the fuzzer: bad magic, unknown versions,
 //! truncations at every byte boundary, length-field lies (including the
 //! `u32::MAX` no-allocation case), non-canonical halt flags, out-of-order or

@@ -1,58 +1,56 @@
-//! # reno-fuzz — deterministic fuzzing of the untrusted byte surfaces
+//! # reno-fuzz — deterministic fuzzing of the untrusted input surfaces
 //!
-//! The repository trusts exactly two byte formats it did not produce in the
-//! same process: 32-bit instruction words handed to [`reno_isa::decode`],
-//! and serialized [`reno_func::Checkpoint`] images handed to
-//! `Checkpoint::from_bytes`. Both must *reject, never panic* on arbitrary
-//! input, and both parsers are strict enough to be bijections on their
-//! image — an accepted input re-serializes to exactly the bytes that came
-//! in. This crate holds the harnesses that hammer on those two contracts:
+//! Seven surfaces read input the rest of the code must survive, and each
+//! must *reject, never panic*. The binary parsers among them are strict
+//! enough to be bijections on their image: an accepted input re-serializes
+//! to exactly the bytes that came in. [`SURFACES`] holds one harness per
+//! surface, and the `reno-fuzz` binary runs the one its argument names:
 //!
-//! * [`run_decode_fuzz`] — byte-level fuzzing of instruction decode:
-//!   uniformly random words, opcode-biased words, and bit-flip mutants of
-//!   previously accepted encodings. Accepted words must satisfy
-//!   `encode(decode(w)) == w`.
-//! * [`run_checkpoint_fuzz`] — structure-aware mutational fuzzing of
-//!   checkpoint deserialization over a corpus of real checkpoints: bit
-//!   flips, truncations, extensions, length-field lies, and page-record
-//!   shuffles. Accepted images must satisfy `to_bytes(from_bytes(x)) == x`,
-//!   and a mutation may never trigger a panic or an attacker-sized
-//!   allocation.
-//! * [`run_pass_fuzz`] — the same contract one container up:
-//!   `reno_sample::CheckpointPass::from_bytes`, the multi-checkpoint
-//!   pass image the DSE store persists. Count and record-length lies,
-//!   record swaps (checkpoint-order violations), header-field lies and
-//!   byte damage must reject as a structured `PassError` without panic or
-//!   attacker-sized allocation; accepted images round-trip byte-exactly.
-//! * [`run_store_fuzz`] — the same contract for `reno-dse`'s store-entry
-//!   frames (`decode_entry`): bit flips, truncations, length/checksum/key
-//!   lies, kind swaps and duplicated frames must be rejected-as-miss, never
-//!   panic, never over-allocate; accepted frames re-encode byte-exactly.
-//! * [`run_report_fuzz`] — the `BENCH_sim.json` perf-trajectory reader
-//!   (`reno_bench::report`): textual mutations of valid v3 trajectory
-//!   files (bit flips, line deletions/duplications/swaps, truncations,
-//!   digit corruption, quote deletion, garbage) must validate-or-reject
-//!   without panicking, and anything accepted must flow through the
+//! ```text
+//! RENO_FUZZ_SEED=1 RENO_FUZZ_ITERS=100000 cargo run --release -p reno-fuzz -- <surface>
+//! ```
+//!
+//! * `decode` — [`reno_isa::decode`] on uniformly random words, words with
+//!   a random opcode field (so every opcode slot, legal or reserved, sees
+//!   deep coverage), and 1–3-bit mutants of previously accepted words.
+//!   Accepted words must satisfy `encode(decode(w)) == w`.
+//! * `checkpoint` — `reno_func::Checkpoint::from_bytes` on mutants of real
+//!   checkpoints: byte damage, page-count lies, page-record swaps and
+//!   duplicates, halted-flag lies.
+//! * `pass` — `reno_sample::CheckpointPass::from_bytes`, the
+//!   multi-checkpoint container the DSE store persists: byte damage, count
+//!   and record-length lies, record swaps (checkpoint-order violations),
+//!   halted-flag and version lies.
+//! * `store` — `reno_dse::decode_entry`, the store's entry frames: byte
+//!   damage, payload-length, checksum and key lies, kind swaps, duplicated
+//!   frames. A rejection is what the store turns into a cache miss.
+//! * `journal` — `reno_dse::replay_journal` and `reno_dse::Lease::parse`:
+//!   seal flips, torn tails, line deletions, duplications and swaps,
+//!   interleaved-writer garbage, and lease-field lies. Replay must keep the
+//!   longest intact prefix *idempotently* (replaying the reported prefix
+//!   reproduces the same events) or reject, and never resurrect records
+//!   past the first bad byte.
+//! * `asm` — `reno_isa::Asm::assemble` on random programs (labels,
+//!   forward and backward branches, `la_code` fixups) with planted
+//!   undefined or duplicate labels and a rare out-of-range branch. The
+//!   verdict must match the planted defect, and every accepted instruction
+//!   must survive the encode/decode round trip.
+//! * `report` — `reno_bench::report::validate`, the `BENCH_sim.json`
+//!   trajectory reader: bit flips, line edits, truncations, digit
+//!   corruption, quote deletion and garbage (invalid UTF-8 is decoded
+//!   lossily, as an editor would). Anything accepted must flow through the
 //!   `check` + `render` gate path panic-free.
-//! * [`run_journal_fuzz`] — the sweep-journal and lease-file line formats
-//!   (`reno_dse::replay_journal`, `reno_dse::Lease::parse`): seal flips,
-//!   truncations, line deletions/duplications/swaps, interleaved-writer
-//!   garbage and lease-field lies must replay the longest intact prefix
-//!   (idempotently — replaying the reported prefix reproduces the same
-//!   events) or reject, never panic, never resurrect records past the
-//!   first bad byte; an accepted lease must re-render byte-exactly.
-//! * [`run_asm_fuzz`] — a semi-trusted *text* surface:
-//!   randomized `Asm` builder programs (labels, forward/backward branches,
-//!   deliberate undefined/duplicate labels, a rare out-of-range-branch arm)
-//!   must `assemble()`-or-`Err` without panicking, the error must match the
-//!   defect the generator planted, and every accepted instruction must
-//!   encode/decode round-trip.
+//!
+//! Every harness runs one loop, and the corpus-driven ones draw a real
+//! input and apply one to three random arms from their surface's table.
+//! Formats that share a shape share the arm: byte damage, line edits and
+//! length-field lies each exist once. A mutation may never trigger a panic
+//! or an attacker-sized allocation.
 //!
 //! Everything is seeded (`RENO_FUZZ_SEED`) and iteration-bounded
-//! (`RENO_FUZZ_ITERS`), so a CI smoke run and a long local soak use the same
-//! binaries (`fuzz_decode`, `fuzz_checkpoint`, `fuzz_pass`, `fuzz_store`,
-//! `fuzz_journal`, `fuzz_asm`, `fuzz_report`) and any finding reproduces
-//! exactly. Findings graduate into plain `#[test]` regression cases under
+//! (`RENO_FUZZ_ITERS`), so a CI smoke run and a long local soak run the
+//! same code and any finding reproduces exactly. Findings graduate into
+//! plain `#[test]` regression cases under
 //! `crates/isa/tests/decode_corpus.rs`,
 //! `crates/func/tests/checkpoint_corpus.rs`,
 //! `crates/sample/tests/pass_corpus.rs`,
@@ -62,9 +60,10 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use reno_bench::report::Metric;
 use reno_dse::{
     decode_entry, encode_entry, header_line, replay_journal, sealed_line, EntryKind, JournalEvent,
-    Lease, HEADER_LEN,
+    Lease,
 };
 use reno_func::{Checkpoint, Cpu, PAGE_BYTES};
 use reno_isa::{decode, encode, Asm, AsmError, Program, Reg};
@@ -73,28 +72,43 @@ use reno_sample::{CheckpointPass, SampleConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Default iteration count: what the acceptance bar asks of a local soak.
-pub const DEFAULT_ITERS: u64 = 100_000;
+const DEFAULT_ITERS: u64 = 100_000;
 /// Default deterministic seed (CI and local runs agree unless overridden).
-pub const DEFAULT_SEED: u64 = 0x5eed_4e40;
+const DEFAULT_SEED: u64 = 0x5eed_4e40;
 
-/// Reads `RENO_FUZZ_ITERS`, falling back to `default` when unset.
+/// A surface's harness: fuzzes it for `(seed, iters)`.
+pub type Harness = fn(u64, u64) -> FuzzReport;
+
+/// Every fuzzed surface: its name on the `reno-fuzz` command line and its
+/// harness.
+pub const SURFACES: &[(&str, Harness)] = &[
+    ("decode", run_decode),
+    ("checkpoint", run_checkpoint),
+    ("pass", run_pass),
+    ("store", run_store),
+    ("journal", run_journal),
+    ("asm", run_asm),
+    ("report", run_report),
+];
+
+/// Reads `RENO_FUZZ_ITERS`, falling back to 100k iterations when unset.
 ///
 /// # Panics
 ///
 /// Panics, naming the valid values, when it is set to anything but a whole
 /// number: a typo must not silently run the default-length soak.
-pub fn iters_from_env(default: u64) -> u64 {
-    ITERS.read().unwrap_or(default)
+pub fn iters_from_env() -> u64 {
+    ITERS.read().unwrap_or(DEFAULT_ITERS)
 }
 
-/// Reads `RENO_FUZZ_SEED`, falling back to `default` when unset.
+/// Reads `RENO_FUZZ_SEED`, falling back to a fixed default seed when unset.
 ///
 /// # Panics
 ///
 /// Panics, naming the valid values, when it is set to anything but a whole
 /// number: a typo must not silently fuzz the default stream.
-pub fn seed_from_env(default: u64) -> u64 {
-    SEED.read().unwrap_or(default)
+pub fn seed_from_env() -> u64 {
+    SEED.read().unwrap_or(DEFAULT_SEED)
 }
 
 const ITERS: Knob<u64> = Knob {
@@ -114,12 +128,13 @@ const SEED: Knob<u64> = Knob {
 /// clean run).
 #[derive(Clone, Debug, Default)]
 pub struct FuzzReport {
-    /// Inputs the parser accepted (and that round-tripped byte-exactly).
+    /// Inputs the surface accepted (and that met its contract).
     pub accepted: u64,
-    /// Inputs the parser rejected with a structured `Err`.
+    /// Inputs the surface rejected with a structured error.
     pub rejected: u64,
-    /// Contract violations: panics, or accepted inputs that failed
-    /// re-serialization equality. Capped at [`FuzzReport::MAX_FAILURES`].
+    /// Contract violations: panics, accepted inputs that failed
+    /// re-serialization equality, or verdicts the planted defects
+    /// contradict. Capped at [`FuzzReport::MAX_FAILURES`].
     pub failures: Vec<String>,
     /// Total violations seen (counts past the stored cap).
     pub failure_count: u64,
@@ -129,81 +144,258 @@ impl FuzzReport {
     /// Stored-failure cap (the count keeps going past it).
     pub const MAX_FAILURES: usize = 10;
 
-    fn fail(&mut self, msg: String) {
-        self.failure_count += 1;
-        if self.failures.len() < Self::MAX_FAILURES {
-            self.failures.push(msg);
-        }
-    }
-
     /// True when the run finished without a single contract violation.
     pub fn clean(&self) -> bool {
         self.failure_count == 0
     }
 }
 
-// ------------------------------------------------------------------ decode
+/// What one input did to its surface's contract.
+enum Verdict {
+    Accepted,
+    Rejected,
+    Violation(String),
+}
 
-/// Fuzzes [`reno_isa::decode`] for `iters` iterations from `seed`.
-///
-/// Every word must decode-or-reject without panicking, and every accepted
-/// word must re-encode to itself (strict canonical decode = bijection on
-/// the image). Inputs mix uniform random words, words with a uniformly
-/// random opcode field (so all 64 opcode slots — legal and reserved — see
-/// deep coverage), and 1–3-bit mutants of previously accepted words (so
-/// near-legal encodings probe each format's pad/canonicality rules).
-pub fn run_decode_fuzz(seed: u64, iters: u64) -> FuzzReport {
+/// The one fuzz loop: `iters` steps from `seed`, each producing one input
+/// and judging it. A violation's note names the iteration and the seed, so
+/// re-running with that seed reproduces it.
+fn run(seed: u64, iters: u64, mut step: impl FnMut(&mut SmallRng) -> Verdict) -> FuzzReport {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut report = FuzzReport::default();
-    // Pool of known-legal words to mutate; seeded with one trivial add so
-    // the mutation arm is live from iteration one.
+    for i in 0..iters {
+        match step(&mut rng) {
+            Verdict::Accepted => report.accepted += 1,
+            Verdict::Rejected => report.rejected += 1,
+            Verdict::Violation(note) => {
+                report.failure_count += 1;
+                if report.failures.len() < FuzzReport::MAX_FAILURES {
+                    report
+                        .failures
+                        .push(format!("{note}, iter {i} (seed {seed})"));
+                }
+            }
+        }
+    }
+    report
+}
+
+/// One uniformly chosen corpus entry.
+fn pick<'a, T>(corpus: &'a [T], rng: &mut SmallRng) -> &'a T {
+    &corpus[rng.gen_range(0usize..corpus.len())]
+}
+
+/// A mutation arm: one random edit of an input's bytes. Every arm takes the
+/// growable buffer, including those that never resize it.
+type Arm = fn(&mut Vec<u8>, &mut SmallRng);
+
+/// Applies one to three arms, each drawn uniformly from `arms`.
+fn mutate(mut bytes: Vec<u8>, arms: &[Arm], rng: &mut SmallRng) -> Vec<u8> {
+    for _ in 0..rng.gen_range(1u32..=3) {
+        pick(arms, rng)(&mut bytes, rng);
+    }
+    bytes
+}
+
+/// The round-trip contract: `parse` accepts or rejects `bytes` without
+/// panicking, and whatever it accepts renders back to exactly `bytes`, so
+/// a mutation can never smuggle in a value that claims to be the bytes it
+/// came from.
+fn round_trip<T, E>(
+    what: &str,
+    bytes: &[u8],
+    parse: impl FnOnce(&[u8]) -> Result<T, E>,
+    render: impl FnOnce(&T) -> Vec<u8>,
+) -> Verdict {
+    match catch_unwind(AssertUnwindSafe(|| parse(bytes))) {
+        Err(_) => Verdict::Violation(format!("{what} panicked on {}-byte input", bytes.len())),
+        Ok(Err(_)) => Verdict::Rejected,
+        Ok(Ok(v)) if render(&v) == bytes => Verdict::Accepted,
+        Ok(Ok(_)) => Verdict::Violation(format!(
+            "{what} accepted a {}-byte input that does not re-serialize to itself",
+            bytes.len()
+        )),
+    }
+}
+
+// --------------------------------------------------------------- byte arms
+
+#[allow(clippy::ptr_arg)] // an `Arm`
+fn flip_bit(bytes: &mut Vec<u8>, rng: &mut SmallRng) {
+    if !bytes.is_empty() {
+        let i = rng.gen_range(0usize..bytes.len());
+        bytes[i] ^= 1 << rng.gen_range(0u32..8);
+    }
+}
+
+#[allow(clippy::ptr_arg)] // an `Arm`
+fn overwrite_byte(bytes: &mut Vec<u8>, rng: &mut SmallRng) {
+    if !bytes.is_empty() {
+        let i = rng.gen_range(0usize..bytes.len());
+        bytes[i] = rng.gen::<u8>();
+    }
+}
+
+/// A torn write: keep a random prefix.
+fn truncate(bytes: &mut Vec<u8>, rng: &mut SmallRng) {
+    let keep = rng.gen_range(0usize..=bytes.len());
+    bytes.truncate(keep);
+}
+
+fn garbage(rng: &mut SmallRng) -> Vec<u8> {
+    (0..rng.gen_range(1usize..=16))
+        .map(|_| rng.gen::<u8>())
+        .collect()
+}
+
+fn append_garbage(bytes: &mut Vec<u8>, rng: &mut SmallRng) {
+    bytes.extend(garbage(rng));
+}
+
+fn insert_garbage(bytes: &mut Vec<u8>, rng: &mut SmallRng) {
+    let at = rng.gen_range(0usize..=bytes.len());
+    bytes.splice(at..at, garbage(rng));
+}
+
+// ------------------------------------------------------ line and span arms
+
+/// `(start, end)` of every line, newline included; an unterminated last
+/// line counts too.
+fn line_spans(b: &[u8]) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut start = 0usize;
+    for (i, &c) in b.iter().enumerate() {
+        if c == b'\n' {
+            spans.push((start, i + 1));
+            start = i + 1;
+        }
+    }
+    if start < b.len() {
+        spans.push((start, b.len()));
+    }
+    spans
+}
+
+/// Swaps two distinct random spans (lines, records), if there are two.
+fn swap_spans(bytes: &mut Vec<u8>, spans: &[(usize, usize)], rng: &mut SmallRng) {
+    if spans.len() >= 2 {
+        let a = rng.gen_range(0usize..spans.len());
+        let b = rng.gen_range(0usize..spans.len());
+        if a != b {
+            let (a, b) = (a.min(b), a.max(b));
+            let sa = bytes[spans[a].0..spans[a].1].to_vec();
+            let sb = bytes[spans[b].0..spans[b].1].to_vec();
+            bytes.splice(spans[b].0..spans[b].1, sa);
+            bytes.splice(spans[a].0..spans[a].1, sb);
+        }
+    }
+}
+
+/// A lost line: a header, a record or a footer.
+fn delete_line(bytes: &mut Vec<u8>, rng: &mut SmallRng) {
+    let spans = line_spans(bytes);
+    if !spans.is_empty() {
+        let (s, e) = *pick(&spans, rng);
+        bytes.drain(s..e);
+    }
+}
+
+/// A line doubled in place: a replayed append, a doubled header.
+fn duplicate_line(bytes: &mut Vec<u8>, rng: &mut SmallRng) {
+    let spans = line_spans(bytes);
+    if !spans.is_empty() {
+        let (s, e) = *pick(&spans, rng);
+        let line = bytes[s..e].to_vec();
+        bytes.splice(e..e, line);
+    }
+}
+
+/// Lines out of order: records reordered, a header displaced.
+fn swap_lines(bytes: &mut Vec<u8>, rng: &mut SmallRng) {
+    let spans = line_spans(bytes);
+    swap_spans(bytes, &spans, rng);
+}
+
+// -------------------------------------------------------------- field arms
+
+/// Rewrites the `width`-byte little-endian field at `off` as `value(old)`,
+/// when the input reaches that far.
+fn set_field(bytes: &mut [u8], off: usize, width: usize, value: impl FnOnce(u64) -> u64) {
+    if let Some(field) = bytes.get_mut(off..off + width) {
+        let old = field.iter().rev().fold(0u64, |v, &b| v << 8 | u64::from(b));
+        field.copy_from_slice(&value(old).to_le_bytes()[..width]);
+    }
+}
+
+/// A length-field lie: the field's maximum, a random value, or the real
+/// value plus 1..=`bump` — a claim the bytes behind it cannot back, which
+/// must reject before it sizes any allocation.
+fn lie_length(bytes: &mut [u8], off: usize, width: usize, bump: u64, rng: &mut SmallRng) {
+    set_field(bytes, off, width, |real| match rng.gen_range(0u32..3) {
+        0 => u64::MAX,
+        1 => rng.gen::<u64>(),
+        _ => real.wrapping_add(rng.gen_range(1u64..=bump)),
+    });
+}
+
+/// A boolean word holding neither 0 nor 1.
+fn lie_flag(bytes: &mut [u8], off: usize, rng: &mut SmallRng) {
+    set_field(bytes, off, 8, |_| rng.gen_range(2u64..=u64::MAX));
+}
+
+/// A format-version bump; the pass and store frames both keep the version
+/// at bytes 8..12, after an 8-byte magic.
+#[allow(clippy::ptr_arg)] // an `Arm`
+fn bump_version(bytes: &mut Vec<u8>, rng: &mut SmallRng) {
+    set_field(bytes, 8, 4, |_| rng.gen::<u64>());
+}
+
+// ------------------------------------------------------------------ decode
+
+/// The decode contract: decode-or-reject without panic; an accepted word
+/// re-encodes to itself (strict canonical decode is a bijection on the
+/// image).
+fn check_decode(word: u32) -> Verdict {
+    match catch_unwind(|| decode(word)) {
+        Err(_) => Verdict::Violation(format!("decode(0x{word:08x}) panicked")),
+        Ok(Err(_)) => Verdict::Rejected,
+        Ok(Ok(inst)) => match encode(&inst) {
+            back if back == word => Verdict::Accepted,
+            back => Verdict::Violation(format!(
+                "decode(0x{word:08x}) accepted non-canonical form (re-encodes to 0x{back:08x})"
+            )),
+        },
+    }
+}
+
+fn run_decode(seed: u64, iters: u64) -> FuzzReport {
+    // Known-legal words to mutate, so near-legal encodings probe each
+    // format's pad and canonicality rules; one trivial add keeps the
+    // mutation arm live from the first iteration.
     let mut legal: Vec<u32> = vec![encode(&reno_isa::Inst::alu_ri(
         reno_isa::Opcode::Addi,
         Reg::T0,
         Reg::T0,
         1,
     ))];
-    for _ in 0..iters {
+    run(seed, iters, |rng| {
         let word: u32 = match rng.gen_range(0u32..3) {
             0 => rng.gen::<u32>(),
             1 => (rng.gen_range(0u32..64) << 26) | (rng.gen::<u32>() & 0x03ff_ffff),
             _ => {
-                let base = legal[rng.gen_range(0usize..legal.len())];
-                let mut w = base;
+                let mut w = *pick(&legal, rng);
                 for _ in 0..rng.gen_range(1u32..=3) {
                     w ^= 1 << rng.gen_range(0u32..32);
                 }
                 w
             }
         };
-        check_decode_word(word, &mut report, Some(&mut legal));
-    }
-    report
-}
-
-/// One decode-contract check: decode-or-reject without panic; accepted
-/// words re-encode to themselves. Newly accepted words are appended to
-/// `legal` (bounded) for the mutation arm.
-pub fn check_decode_word(word: u32, report: &mut FuzzReport, legal: Option<&mut Vec<u32>>) {
-    match catch_unwind(|| decode(word)) {
-        Err(_) => report.fail(format!("decode(0x{word:08x}) panicked")),
-        Ok(Err(_)) => report.rejected += 1,
-        Ok(Ok(inst)) => {
-            let back = encode(&inst);
-            if back != word {
-                report.fail(format!(
-                    "decode(0x{word:08x}) accepted non-canonical form (re-encodes to 0x{back:08x})"
-                ));
-                return;
-            }
-            report.accepted += 1;
-            if let Some(pool) = legal {
-                if pool.len() < 4096 {
-                    pool.push(word);
-                }
-            }
+        let verdict = check_decode(word);
+        if matches!(verdict, Verdict::Accepted) && legal.len() < 4096 {
+            legal.push(word);
         }
-    }
+        verdict
+    })
 }
 
 // -------------------------------------------------------------- checkpoint
@@ -211,10 +403,13 @@ pub fn check_decode_word(word: u32, report: &mut FuzzReport, legal: Option<&mut 
 /// Byte offset of the `npages` length field in a serialized checkpoint:
 /// magic + version + register file + (pc, halted, checksum, executed) +
 /// instruction-mix words.
-pub const NPAGES_OFFSET: usize = 8 + 4 + 8 * Reg::COUNT + 8 * 4 + 8 * 11;
+const NPAGES_OFFSET: usize = 8 + 4 + 8 * Reg::COUNT + 8 * 4 + 8 * 11;
+
+/// Byte offset of the halted word in a serialized checkpoint (after pc).
+const CK_HALTED_OFFSET: usize = 8 + 4 + 8 * Reg::COUNT + 8;
 
 /// Size of one serialized page record (page number + contents).
-pub const PAGE_RECORD: usize = 8 + PAGE_BYTES;
+const PAGE_RECORD: usize = 8 + PAGE_BYTES;
 
 /// A small program whose stores spread across several pages, so corpus
 /// checkpoints carry genuine multi-page deltas.
@@ -237,10 +432,10 @@ fn corpus_program() -> Program {
     a.assemble().expect("corpus program assembles")
 }
 
-/// Builds the mutation corpus: serialized checkpoints of a real machine at
-/// several execution depths — entry (zero delta), mid-loop (several dirty
-/// pages), and the halted end state.
-pub fn checkpoint_corpus() -> Vec<Vec<u8>> {
+/// Serialized checkpoints of a real machine at several execution depths:
+/// entry (zero delta), mid-loop (several dirty pages), and the halted end
+/// state.
+fn checkpoint_corpus() -> Vec<Vec<u8>> {
     let p = corpus_program();
     let mut cpu = Cpu::new(&p);
     let mut corpus = vec![Checkpoint::take(&cpu, &p).to_bytes()];
@@ -255,149 +450,66 @@ pub fn checkpoint_corpus() -> Vec<Vec<u8>> {
     corpus
 }
 
-/// Applies one random structure-aware mutation to `bytes`.
-fn mutate(bytes: &mut Vec<u8>, rng: &mut SmallRng) {
-    match rng.gen_range(0u32..8) {
-        // Single bit flip anywhere.
-        0 => {
-            if !bytes.is_empty() {
-                let i = rng.gen_range(0usize..bytes.len());
-                bytes[i] ^= 1 << rng.gen_range(0u32..8);
-            }
-        }
-        // Overwrite one byte.
-        1 => {
-            if !bytes.is_empty() {
-                let i = rng.gen_range(0usize..bytes.len());
-                bytes[i] = rng.gen::<u8>();
-            }
-        }
-        // Truncate to a random prefix.
-        2 => {
-            let keep = rng.gen_range(0usize..=bytes.len());
-            bytes.truncate(keep);
-        }
-        // Append random garbage.
-        3 => {
-            for _ in 0..rng.gen_range(1usize..=16) {
-                bytes.push(rng.gen::<u8>());
-            }
-        }
-        // Length-field lie: claim an arbitrary page count (up to u32::MAX ≈
-        // 16 TiB of page records) without supplying the bytes.
-        4 => {
-            if bytes.len() >= NPAGES_OFFSET + 4 {
-                let lie: u32 = match rng.gen_range(0u32..3) {
-                    0 => u32::MAX,
-                    1 => rng.gen::<u32>(),
-                    _ => {
-                        let real = u32::from_le_bytes(
-                            bytes[NPAGES_OFFSET..NPAGES_OFFSET + 4]
-                                .try_into()
-                                .expect("4 bytes"),
-                        );
-                        real.wrapping_add(rng.gen_range(1u32..=4))
-                    }
-                };
-                bytes[NPAGES_OFFSET..NPAGES_OFFSET + 4].copy_from_slice(&lie.to_le_bytes());
-            }
-        }
-        // Swap two page records (breaks the sorted-pages invariant).
-        5 => {
-            let n = bytes.len().saturating_sub(NPAGES_OFFSET + 4) / PAGE_RECORD;
-            if n >= 2 {
-                let a = rng.gen_range(0usize..n);
-                let b = rng.gen_range(0usize..n);
-                if a != b {
-                    let off = |k: usize| NPAGES_OFFSET + 4 + k * PAGE_RECORD;
-                    let rec_a = bytes[off(a)..off(a) + PAGE_RECORD].to_vec();
-                    let rec_b = bytes[off(b)..off(b) + PAGE_RECORD].to_vec();
-                    bytes[off(a)..off(a) + PAGE_RECORD].copy_from_slice(&rec_b);
-                    bytes[off(b)..off(b) + PAGE_RECORD].copy_from_slice(&rec_a);
-                }
-            }
-        }
-        // Duplicate the last page record and bump the count to match
-        // (structurally valid length, invalid page ordering).
-        6 => {
-            let n = bytes.len().saturating_sub(NPAGES_OFFSET + 4) / PAGE_RECORD;
-            if n >= 1 && bytes.len() >= NPAGES_OFFSET + 4 {
-                let start = bytes.len() - PAGE_RECORD;
-                let rec = bytes[start..].to_vec();
-                bytes.extend_from_slice(&rec);
-                let count = (n as u32).wrapping_add(1);
-                bytes[NPAGES_OFFSET..NPAGES_OFFSET + 4].copy_from_slice(&count.to_le_bytes());
-            }
-        }
-        // Corrupt the halt-flag word with a non-0/1 value.
-        _ => {
-            let off = 8 + 4 + 8 * Reg::COUNT + 8; // after pc
-            if bytes.len() >= off + 8 {
-                let v: u64 = rng.gen_range(2u64..=u64::MAX);
-                bytes[off..off + 8].copy_from_slice(&v.to_le_bytes());
-            }
-        }
-    }
+fn page_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let n = bytes.len().saturating_sub(NPAGES_OFFSET + 4) / PAGE_RECORD;
+    (0..n)
+        .map(|k| NPAGES_OFFSET + 4 + k * PAGE_RECORD)
+        .map(|s| (s, s + PAGE_RECORD))
+        .collect()
 }
 
-/// Fuzzes [`reno_func::Checkpoint::from_bytes`] for `iters` iterations from
-/// `seed`, mutating a corpus of real serialized checkpoints.
-///
-/// Every mutant must parse-or-reject without panicking, and every accepted
-/// mutant must re-serialize to exactly the input bytes — so a mutation can
-/// never smuggle in a checkpoint that restores silently-wrong state while
+const CHECKPOINT_ARMS: &[Arm] = &[
+    flip_bit,
+    overwrite_byte,
+    truncate,
+    append_garbage,
+    // Claim up to u32::MAX pages (16 TiB of records) without the bytes.
+    |b, rng| lie_length(b, NPAGES_OFFSET, 4, 4, rng),
+    // Breaks the sorted-pages invariant.
+    |b, rng| {
+        let spans = page_spans(b);
+        swap_spans(b, &spans, rng);
+    },
+    // Duplicate the last page record and bump the count to match: a
+    // structurally valid length with an invalid page order.
+    |b, _| {
+        let n = page_spans(b).len();
+        if n >= 1 {
+            let rec = b[b.len() - PAGE_RECORD..].to_vec();
+            b.extend_from_slice(&rec);
+            set_field(b, NPAGES_OFFSET, 4, |_| n as u64 + 1);
+        }
+    },
+    |b, rng| lie_flag(b, CK_HALTED_OFFSET, rng),
+];
+
+/// A checkpoint that round-trips cannot restore silently-wrong state while
 /// claiming to be the bytes it came from.
-pub fn run_checkpoint_fuzz(seed: u64, iters: u64) -> FuzzReport {
+fn run_checkpoint(seed: u64, iters: u64) -> FuzzReport {
     let corpus = checkpoint_corpus();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut report = FuzzReport::default();
-    for i in 0..iters {
-        let mut bytes = corpus[rng.gen_range(0usize..corpus.len())].clone();
-        for _ in 0..rng.gen_range(1u32..=3) {
-            mutate(&mut bytes, &mut rng);
-        }
-        check_checkpoint_bytes(&bytes, &mut report, &format!("iter {i} (seed {seed})"));
-    }
-    report
-}
-
-/// One checkpoint-contract check: parse-or-reject without panic; accepted
-/// images re-serialize byte-exactly.
-pub fn check_checkpoint_bytes(bytes: &[u8], report: &mut FuzzReport, ctx: &str) {
-    match catch_unwind(AssertUnwindSafe(|| Checkpoint::from_bytes(bytes))) {
-        Err(_) => report.fail(format!(
-            "from_bytes panicked on {}-byte input, {ctx}",
-            bytes.len()
-        )),
-        Ok(Err(_)) => report.rejected += 1,
-        Ok(Ok(ck)) => {
-            if ck.to_bytes() != bytes {
-                report.fail(format!(
-                    "accepted {}-byte input does not re-serialize to itself, {ctx}",
-                    bytes.len()
-                ));
-                return;
-            }
-            report.accepted += 1;
-        }
-    }
+    run(seed, iters, |rng| {
+        let bytes = mutate(pick(&corpus, rng).clone(), CHECKPOINT_ARMS, rng);
+        round_trip(
+            "Checkpoint::from_bytes",
+            &bytes,
+            Checkpoint::from_bytes,
+            Checkpoint::to_bytes,
+        )
+    })
 }
 
 // -------------------------------------------------------------------- pass
 //
-// Structure-aware mutation of serialized `reno_sample::CheckpointPass`
-// images — the multi-checkpoint container the DSE store persists and every
-// sampled sweep cell deserializes. Field layout (see `reno_sample`): magic
-// 0..8, version 8..12, total_insts 12..20, halted 20..28, checksum 28..36,
-// digest 36..44, checkpoint count 44..48, then per-checkpoint records of
-// `u32` length + `Checkpoint` bytes.
+// Field layout of a serialized `reno_sample::CheckpointPass`: magic 0..8,
+// version 8..12, total_insts 12..20, halted 20..28, checksum 28..36, digest
+// 36..44, checkpoint count 44..48, then per-checkpoint records of `u32`
+// length + `Checkpoint` bytes.
 
 /// Byte offset of the checkpoint-count field in a serialized pass.
-pub const PASS_COUNT_OFFSET: usize = 8 + 4 + 8 * 4;
+const PASS_COUNT_OFFSET: usize = 8 + 4 + 8 * 4;
 
-/// Spans of the per-checkpoint records (`(start, end)`, record = length
-/// prefix + checkpoint bytes) as far as the byte stream can back them —
-/// the walker the record-level mutation arms share.
+/// Spans of the per-checkpoint records (record = length prefix +
+/// checkpoint bytes) as far as the byte stream can back them.
 fn pass_record_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut pos = PASS_COUNT_OFFSET + 4;
@@ -412,12 +524,12 @@ fn pass_record_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
     spans
 }
 
-/// The pass corpus: serialized [`CheckpointPass`] images — a real
-/// zero-checkpoint pass from a single-segment program, plus synthetic
-/// multi-checkpoint passes embedding the real checkpoint corpus (whose
-/// `executed` depths are strictly increasing, as the parser demands) — so
-/// mutations probe the header fields, the count, and the record framing.
-pub fn pass_corpus() -> Vec<Vec<u8>> {
+/// Serialized [`CheckpointPass`] images: a real zero-checkpoint pass from a
+/// single-segment program, plus synthetic multi-checkpoint passes embedding
+/// the real checkpoint corpus (whose `executed` depths are strictly
+/// increasing, as the parser demands), so mutations probe the header
+/// fields, the count, and the record framing.
+fn pass_corpus() -> Vec<Vec<u8>> {
     let p = corpus_program();
     let real = CheckpointPass::compute(&p, &SampleConfig::new(64, 128, 4096));
     assert!(real.error.is_none(), "corpus program runs cleanly");
@@ -441,156 +553,54 @@ pub fn pass_corpus() -> Vec<Vec<u8>> {
     ]
 }
 
-/// Applies one random structure-aware mutation to pass bytes.
-fn mutate_pass(bytes: &mut Vec<u8>, rng: &mut SmallRng) {
-    match rng.gen_range(0u32..9) {
-        // Single bit flip anywhere (magic, header, or embedded checkpoint).
-        0 => {
-            if !bytes.is_empty() {
-                let i = rng.gen_range(0usize..bytes.len());
-                bytes[i] ^= 1 << rng.gen_range(0u32..8);
-            }
+const PASS_ARMS: &[Arm] = &[
+    flip_bit,
+    overwrite_byte,
+    truncate,
+    append_garbage,
+    |b, rng| lie_length(b, PASS_COUNT_OFFSET, 4, 4, rng),
+    |b, rng| {
+        let spans = pass_record_spans(b);
+        if !spans.is_empty() {
+            let (s, _) = *pick(&spans, rng);
+            lie_length(b, s, 4, 8, rng);
         }
-        // Overwrite one byte.
-        1 => {
-            if !bytes.is_empty() {
-                let i = rng.gen_range(0usize..bytes.len());
-                bytes[i] = rng.gen::<u8>();
-            }
-        }
-        // Truncate to a random prefix (torn store write).
-        2 => {
-            let keep = rng.gen_range(0usize..=bytes.len());
-            bytes.truncate(keep);
-        }
-        // Append garbage (trailing bytes past the last record).
-        3 => {
-            for _ in 0..rng.gen_range(1usize..=16) {
-                bytes.push(rng.gen::<u8>());
-            }
-        }
-        // Count lie: claim up to u32::MAX checkpoints without supplying
-        // them — must reject before the count sizes any allocation.
-        4 => {
-            if bytes.len() >= PASS_COUNT_OFFSET + 4 {
-                let lie: u32 = match rng.gen_range(0u32..3) {
-                    0 => u32::MAX,
-                    1 => rng.gen::<u32>(),
-                    _ => {
-                        let real = u32::from_le_bytes(
-                            bytes[PASS_COUNT_OFFSET..PASS_COUNT_OFFSET + 4]
-                                .try_into()
-                                .expect("4 bytes"),
-                        );
-                        real.wrapping_add(rng.gen_range(1u32..=4))
-                    }
-                };
-                bytes[PASS_COUNT_OFFSET..PASS_COUNT_OFFSET + 4].copy_from_slice(&lie.to_le_bytes());
-            }
-        }
-        // Record-length lie on one checkpoint record.
-        5 => {
-            let spans = pass_record_spans(bytes);
-            if !spans.is_empty() {
-                let (s, _) = spans[rng.gen_range(0usize..spans.len())];
-                let lie: u32 = match rng.gen_range(0u32..3) {
-                    0 => u32::MAX,
-                    1 => rng.gen::<u32>(),
-                    _ => {
-                        let real = u32::from_le_bytes(bytes[s..s + 4].try_into().expect("4 bytes"));
-                        real.wrapping_add(rng.gen_range(1u32..=8))
-                    }
-                };
-                bytes[s..s + 4].copy_from_slice(&lie.to_le_bytes());
-            }
-        }
-        // Swap two whole records (breaks the strictly-increasing
-        // `executed` order while keeping every record individually valid).
-        6 => {
-            let spans = pass_record_spans(bytes);
-            if spans.len() >= 2 {
-                let a = rng.gen_range(0usize..spans.len());
-                let b = rng.gen_range(0usize..spans.len());
-                if a != b {
-                    let (a, b) = (a.min(b), a.max(b));
-                    let ra = bytes[spans[a].0..spans[a].1].to_vec();
-                    let rb = bytes[spans[b].0..spans[b].1].to_vec();
-                    bytes.splice(spans[b].0..spans[b].1, ra);
-                    bytes.splice(spans[a].0..spans[a].1, rb);
-                }
-            }
-        }
-        // Corrupt the halted word with a non-0/1 value.
-        7 => {
-            if bytes.len() >= 28 {
-                let v: u64 = rng.gen_range(2u64..=u64::MAX);
-                bytes[20..28].copy_from_slice(&v.to_le_bytes());
-            }
-        }
-        // Version bump.
-        _ => {
-            if bytes.len() >= 12 {
-                let v = rng.gen::<u32>();
-                bytes[8..12].copy_from_slice(&v.to_le_bytes());
-            }
-        }
-    }
-}
+    },
+    // Every record stays valid; their `executed` order breaks.
+    |b, rng| {
+        let spans = pass_record_spans(b);
+        swap_spans(b, &spans, rng);
+    },
+    |b, rng| lie_flag(b, 20, rng),
+    bump_version,
+];
 
-/// One pass-contract check: parse-or-reject as a structured
-/// [`reno_sample::PassError`] without panic; accepted images re-serialize
-/// byte-exactly — so a mutation can never smuggle a pass that replays
-/// silently-wrong checkpoints while claiming to be the bytes it came from.
-pub fn check_pass_bytes(bytes: &[u8], report: &mut FuzzReport, ctx: &str) {
-    match catch_unwind(AssertUnwindSafe(|| CheckpointPass::from_bytes(bytes))) {
-        Err(_) => report.fail(format!(
-            "CheckpointPass::from_bytes panicked on {}-byte input, {ctx}",
-            bytes.len()
-        )),
-        Ok(Err(_)) => report.rejected += 1,
-        Ok(Ok(pass)) => {
-            if pass.to_bytes() != bytes {
-                report.fail(format!(
-                    "accepted {}-byte pass does not re-serialize to itself, {ctx}",
-                    bytes.len()
-                ));
-                return;
-            }
-            report.accepted += 1;
-        }
-    }
-}
-
-/// Fuzzes [`reno_sample::CheckpointPass::from_bytes`] for `iters`
-/// iterations from `seed`, mutating a corpus of serialized passes: bit
-/// flips, truncations, count and record-length lies, record swaps (order
-/// violations), halted-field and version lies. Same contract as
-/// [`run_checkpoint_fuzz`]: reject-never-panic, never an attacker-sized
-/// allocation, accepted images round-trip byte-exactly.
-pub fn run_pass_fuzz(seed: u64, iters: u64) -> FuzzReport {
+/// A pass must reject as a structured `PassError` or round-trip, so a
+/// corrupt cached pass can never smuggle a bad restore image into a
+/// sampled run.
+fn run_pass(seed: u64, iters: u64) -> FuzzReport {
     let corpus = pass_corpus();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut report = FuzzReport::default();
-    for i in 0..iters {
-        let mut bytes = corpus[rng.gen_range(0usize..corpus.len())].clone();
-        for _ in 0..rng.gen_range(1u32..=3) {
-            mutate_pass(&mut bytes, &mut rng);
-        }
-        check_pass_bytes(&bytes, &mut report, &format!("iter {i} (seed {seed})"));
-    }
-    report
+    run(seed, iters, |rng| {
+        let bytes = mutate(pick(&corpus, rng).clone(), PASS_ARMS, rng);
+        round_trip(
+            "CheckpointPass::from_bytes",
+            &bytes,
+            CheckpointPass::from_bytes,
+            CheckpointPass::to_bytes,
+        )
+    })
 }
 
 // ------------------------------------------------------------------- store
 //
-// Structure-aware mutation of `reno-dse` store-entry frames. Field layout
-// (see `reno_dse::store`): magic 0..8, version 8..12, kind 12, key 13..21,
-// payload-len 21..29, checksum 29..37, payload 37.. .
+// Field layout of a `reno-dse` store-entry frame: magic 0..8, version
+// 8..12, kind 12, key 13..21, payload-len 21..29, checksum 29..37, payload
+// 37.. .
 
-/// The store corpus: real frames of both kinds, with payloads ranging from
-/// empty through a 32-byte cell result to multi-KiB checkpoint images, so
-/// mutations probe every field against every payload size class.
-pub fn store_corpus() -> Vec<(Vec<u8>, EntryKind, u64)> {
+/// Real frames of both kinds, with payloads from empty through a 32-byte
+/// cell result to multi-KiB checkpoint images, so mutations probe every
+/// field against every payload size class.
+fn store_corpus() -> Vec<(Vec<u8>, EntryKind, u64)> {
     let mut corpus = vec![
         (
             encode_entry(EntryKind::Cell, 0x1111, &[]),
@@ -614,167 +624,70 @@ pub fn store_corpus() -> Vec<(Vec<u8>, EntryKind, u64)> {
     corpus
 }
 
-/// Applies one random structure-aware mutation to a store frame.
-fn mutate_store(bytes: &mut Vec<u8>, rng: &mut SmallRng) {
-    match rng.gen_range(0u32..10) {
-        // Single bit flip anywhere (header or payload).
-        0 => {
-            if !bytes.is_empty() {
-                let i = rng.gen_range(0usize..bytes.len());
-                bytes[i] ^= 1 << rng.gen_range(0u32..8);
-            }
+const STORE_ARMS: &[Arm] = &[
+    flip_bit,
+    overwrite_byte,
+    truncate,
+    append_garbage,
+    // Claim up to u64::MAX payload bytes.
+    |b, rng| lie_length(b, 21, 8, 8, rng),
+    // Checksum lie.
+    |b, rng| set_field(b, 29, 8, |_| rng.gen::<u64>()),
+    // A moved or renamed object file: one bit of the key.
+    |b, rng| {
+        if b.len() >= 21 {
+            let i = 13 + rng.gen_range(0usize..8);
+            b[i] ^= 1 << rng.gen_range(0u32..8);
         }
-        // Overwrite one byte.
-        1 => {
-            if !bytes.is_empty() {
-                let i = rng.gen_range(0usize..bytes.len());
-                bytes[i] = rng.gen::<u8>();
-            }
+    },
+    // Kind swap, or an invalid kind.
+    |b, rng| {
+        if b.len() >= 13 {
+            b[12] = match rng.gen_range(0u32..3) {
+                0 => 1,
+                1 => 2,
+                _ => rng.gen::<u8>(),
+            };
         }
-        // Truncate to a random prefix (torn write).
-        2 => {
-            let keep = rng.gen_range(0usize..=bytes.len());
-            bytes.truncate(keep);
-        }
-        // Append garbage (trailing bytes after the claimed payload).
-        3 => {
-            for _ in 0..rng.gen_range(1usize..=16) {
-                bytes.push(rng.gen::<u8>());
-            }
-        }
-        // Length lie: claim up to u64::MAX payload bytes without supplying
-        // them — must reject, never allocate.
-        4 => {
-            if bytes.len() >= 29 {
-                let lie: u64 = match rng.gen_range(0u32..3) {
-                    0 => u64::MAX,
-                    1 => rng.gen::<u64>(),
-                    _ => {
-                        let real = u64::from_le_bytes(bytes[21..29].try_into().expect("8 bytes"));
-                        real.wrapping_add(rng.gen_range(1u64..=8))
-                    }
-                };
-                bytes[21..29].copy_from_slice(&lie.to_le_bytes());
-            }
-        }
-        // Checksum lie.
-        5 => {
-            if bytes.len() >= 37 {
-                let v = rng.gen::<u64>();
-                bytes[29..37].copy_from_slice(&v.to_le_bytes());
-            }
-        }
-        // Key rename (a moved/renamed object file).
-        6 => {
-            if bytes.len() >= 21 {
-                let i = 13 + rng.gen_range(0usize..8);
-                bytes[i] ^= 1 << rng.gen_range(0u32..8);
-            }
-        }
-        // Kind swap / invalid kind.
-        7 => {
-            if bytes.len() >= 13 {
-                bytes[12] = match rng.gen_range(0u32..3) {
-                    0 => 1,
-                    1 => 2,
-                    _ => rng.gen::<u8>(),
-                };
-            }
-        }
-        // Duplicate the whole frame (self-concatenation: the length field
-        // now disagrees with the file size).
-        8 => {
-            let dup = bytes.clone();
-            bytes.extend_from_slice(&dup);
-        }
-        // Version bump.
-        _ => {
-            if bytes.len() >= 12 {
-                let v = rng.gen::<u32>();
-                bytes[8..12].copy_from_slice(&v.to_le_bytes());
-            }
-        }
-    }
-}
+    },
+    // The whole frame twice: the length field disagrees with the size.
+    |b, _| {
+        let dup = b.clone();
+        b.extend_from_slice(&dup);
+    },
+    bump_version,
+];
 
-/// Fuzzes [`reno_dse::decode_entry`] for `iters` iterations from `seed`.
-///
-/// Every mutant must decode-or-reject without panicking — a rejection is
-/// what the store turns into a cache miss — and every accepted mutant must
-/// re-encode to exactly the input bytes, so a mutation can never smuggle a
-/// wrong payload through a frame that still claims to be authentic.
-pub fn run_store_fuzz(seed: u64, iters: u64) -> FuzzReport {
+/// An accepted frame re-encodes byte-exactly (so it never claims more
+/// payload than the input held), and a mutation can never smuggle a wrong
+/// payload through a frame that still claims to be authentic.
+fn run_store(seed: u64, iters: u64) -> FuzzReport {
     let corpus = store_corpus();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut report = FuzzReport::default();
-    for i in 0..iters {
-        let (base, kind, key) = &corpus[rng.gen_range(0usize..corpus.len())];
-        let mut bytes = base.clone();
-        for _ in 0..rng.gen_range(1u32..=3) {
-            mutate_store(&mut bytes, &mut rng);
-        }
-        check_store_bytes(
+    run(seed, iters, |rng| {
+        let (frame, kind, key) = pick(&corpus, rng);
+        let bytes = mutate(frame.clone(), STORE_ARMS, rng);
+        round_trip(
+            "decode_entry",
             &bytes,
-            *kind,
-            *key,
-            &mut report,
-            &format!("iter {i} (seed {seed})"),
-        );
-    }
-    report
-}
-
-/// One store-frame contract check: decode-or-reject without panic;
-/// accepted frames re-encode byte-exactly and never claim more payload
-/// than the input held.
-pub fn check_store_bytes(
-    bytes: &[u8],
-    kind: EntryKind,
-    key: u64,
-    report: &mut FuzzReport,
-    ctx: &str,
-) {
-    match catch_unwind(AssertUnwindSafe(|| decode_entry(bytes, kind, key))) {
-        Err(_) => report.fail(format!(
-            "decode_entry panicked on {}-byte input, {ctx}",
-            bytes.len()
-        )),
-        Ok(Err(_)) => report.rejected += 1,
-        Ok(Ok(payload)) => {
-            if payload.len() + HEADER_LEN != bytes.len() {
-                report.fail(format!(
-                    "accepted payload of {} bytes from a {}-byte frame, {ctx}",
-                    payload.len(),
-                    bytes.len()
-                ));
-                return;
-            }
-            if encode_entry(kind, key, &payload) != bytes {
-                report.fail(format!(
-                    "accepted {}-byte frame does not re-encode to itself, {ctx}",
-                    bytes.len()
-                ));
-                return;
-            }
-            report.accepted += 1;
-        }
-    }
+            |b| decode_entry(b, *kind, *key),
+            |payload| encode_entry(*kind, *key, payload),
+        )
+    })
 }
 
 // ----------------------------------------------------------------- journal
 //
-// Line-level mutation of `reno-dse` sweep journals and lease files — the
-// two sealed-line formats a resuming process replays after an arbitrary
-// crash (or after a hostile/buggy co-writer scribbled on the store).
+// `reno-dse` sweep journals and lease files: the two sealed-line formats a
+// resuming process replays after an arbitrary crash, or after a hostile or
+// buggy co-writer scribbled on the store.
 
 /// The sweep hash every journal corpus file is replayed against.
-pub const JOURNAL_FUZZ_SWEEP: u64 = 0xfee1_5afe_c0de_cafe;
+const JOURNAL_FUZZ_SWEEP: u64 = 0xfee1_5afe_c0de_cafe;
 
-/// The journal corpus: realistic journals at several shapes — empty,
-/// header-only, a long mixed-record run (all four record types, duplicate
-/// keys, fail messages with spaces/newlines/UTF-8), and a foreign-sweep
-/// file — so mutations probe every record parser and the header rules.
-pub fn journal_corpus() -> Vec<Vec<u8>> {
+/// Realistic journals at several shapes: empty, header-only, a long
+/// mixed-record run (all four record types, duplicate keys, fail messages
+/// with spaces, newlines and UTF-8), and a foreign-sweep file.
+fn journal_corpus() -> Vec<Vec<u8>> {
     let ev = |bytes: &mut Vec<u8>, e: JournalEvent| bytes.extend_from_slice(e.to_line().as_bytes());
     let mut long = header_line(JOURNAL_FUZZ_SWEEP).into_bytes();
     for k in 0..6u64 {
@@ -807,238 +720,123 @@ pub fn journal_corpus() -> Vec<Vec<u8>> {
     ]
 }
 
-/// Applies one random mutation to journal bytes: byte-level damage, torn
-/// tails, whole-line edits (delete/duplicate/swap — what an interleaved
-/// writer or a bad editor produces), seal-targeted flips, and spliced
-/// foreign-but-sealed lines (a co-writer speaking another protocol).
-fn mutate_journal(bytes: &mut Vec<u8>, rng: &mut SmallRng) {
-    let lines_of = |b: &[u8]| -> Vec<(usize, usize)> {
-        let mut spans = Vec::new();
-        let mut start = 0usize;
-        for (i, &c) in b.iter().enumerate() {
-            if c == b'\n' {
-                spans.push((start, i + 1));
-                start = i + 1;
+const JOURNAL_ARMS: &[Arm] = &[
+    flip_bit,
+    overwrite_byte,
+    truncate,
+    // Seal-targeted flip in the last 18 bytes of a line (the checksum field
+    // and its separator): the subtlest tear.
+    |b, rng| {
+        let spans = line_spans(b);
+        if let Some(&(s, e)) = spans.get(rng.gen_range(0usize..spans.len().max(1))) {
+            let lo = s.max(e.saturating_sub(18));
+            if lo < e {
+                let i = rng.gen_range(lo..e);
+                b[i] ^= 1 << rng.gen_range(0u32..8);
             }
         }
-        if start < b.len() {
-            spans.push((start, b.len()));
-        }
-        spans
-    };
-    match rng.gen_range(0u32..9) {
-        // Single bit flip anywhere.
-        0 => {
-            if !bytes.is_empty() {
-                let i = rng.gen_range(0usize..bytes.len());
-                bytes[i] ^= 1 << rng.gen_range(0u32..8);
-            }
-        }
-        // Overwrite one byte.
-        1 => {
-            if !bytes.is_empty() {
-                let i = rng.gen_range(0usize..bytes.len());
-                bytes[i] = rng.gen::<u8>();
-            }
-        }
-        // Truncate to a random prefix (torn append).
-        2 => {
-            let keep = rng.gen_range(0usize..=bytes.len());
-            bytes.truncate(keep);
-        }
-        // Seal-targeted flip: corrupt one of the last 17 bytes of a line
-        // (the checksum field and its separator) — the subtlest tear.
-        3 => {
-            let spans = lines_of(bytes);
-            if let Some(&(s, e)) = spans.get(rng.gen_range(0usize..spans.len().max(1))) {
-                let lo = s.max(e.saturating_sub(18));
-                if lo < e {
-                    let i = rng.gen_range(lo..e);
-                    bytes[i] ^= 1 << rng.gen_range(0u32..8);
-                }
-            }
-        }
-        // Delete a whole line (lost header, lost record).
-        4 => {
-            let spans = lines_of(bytes);
-            if !spans.is_empty() {
-                let (s, e) = spans[rng.gen_range(0usize..spans.len())];
-                bytes.drain(s..e);
-            }
-        }
-        // Duplicate a line in place (replayed append, doubled header).
-        5 => {
-            let spans = lines_of(bytes);
-            if !spans.is_empty() {
-                let (s, e) = spans[rng.gen_range(0usize..spans.len())];
-                let line = bytes[s..e].to_vec();
-                bytes.splice(e..e, line);
-            }
-        }
-        // Swap two lines (records out of order, header displaced).
-        6 => {
-            let spans = lines_of(bytes);
-            if spans.len() >= 2 {
-                let a = rng.gen_range(0usize..spans.len());
-                let b = rng.gen_range(0usize..spans.len());
-                if a != b {
-                    let (a, b) = (a.min(b), a.max(b));
-                    let la = bytes[spans[a].0..spans[a].1].to_vec();
-                    let lb = bytes[spans[b].0..spans[b].1].to_vec();
-                    bytes.splice(spans[b].0..spans[b].1, la);
-                    bytes.splice(spans[a].0..spans[a].1, lb);
-                }
-            }
-        }
-        // Splice a *correctly sealed* line of the wrong shape at a line
-        // boundary: unknown record type, extra field, or a lease line —
-        // bytes an interleaved writer could legitimately produce.
-        7 => {
-            let spans = lines_of(bytes);
-            let at = if spans.is_empty() {
-                0
-            } else {
-                spans[rng.gen_range(0usize..spans.len())].0
-            };
-            let body = match rng.gen_range(0u32..4) {
-                0 => format!("evict {:016x}", rng.gen::<u64>()),
-                1 => format!("done {:016x} extra", rng.gen::<u64>()),
-                2 => format!(
-                    "lease {} {:016x} {}",
-                    rng.gen::<u32>(),
-                    rng.gen::<u64>(),
-                    rng.gen::<u32>()
-                ),
-                _ => "done".to_string(),
-            };
-            let line = sealed_line(&body).into_bytes();
-            bytes.splice(at..at, line);
-        }
-        // Insert raw garbage at a random position.
-        _ => {
-            let at = rng.gen_range(0usize..=bytes.len());
-            let n = rng.gen_range(1usize..=12);
-            let garbage: Vec<u8> = (0..n).map(|_| rng.gen::<u8>()).collect();
-            bytes.splice(at..at, garbage);
-        }
-    }
-}
+    },
+    delete_line,
+    duplicate_line,
+    swap_lines,
+    // A *correctly sealed* line of the wrong shape at a line boundary: an
+    // unknown record type, an extra field, or a lease line, which an
+    // interleaved writer could legitimately produce.
+    |b, rng| {
+        let spans = line_spans(b);
+        let at = if spans.is_empty() {
+            0
+        } else {
+            pick(&spans, rng).0
+        };
+        let body = match rng.gen_range(0u32..4) {
+            0 => format!("evict {:016x}", rng.gen::<u64>()),
+            1 => format!("done {:016x} extra", rng.gen::<u64>()),
+            2 => format!(
+                "lease {} {:016x} {}",
+                rng.gen::<u32>(),
+                rng.gen::<u64>(),
+                rng.gen::<u32>()
+            ),
+            _ => "done".to_string(),
+        };
+        b.splice(at..at, sealed_line(&body).into_bytes());
+    },
+    insert_garbage,
+];
 
-/// One journal-contract check: `replay_journal` must accept-or-reject
-/// without panicking, report an `intact_len` within bounds, and be
-/// **prefix-idempotent** — replaying exactly the bytes it called intact
-/// must reproduce the same events and the same length. That is the
-/// property resume correctness rides on: truncate-to-intact + append must
-/// not change the meaning of what survived.
-pub fn check_journal_bytes(bytes: &[u8], report: &mut FuzzReport, ctx: &str) {
-    match catch_unwind(AssertUnwindSafe(|| {
-        replay_journal(bytes, JOURNAL_FUZZ_SWEEP)
-    })) {
-        Err(_) => report.fail(format!(
-            "replay_journal panicked on {}-byte input, {ctx}",
+/// The journal contract: `replay_journal` accepts or rejects without
+/// panicking, reports an `intact_len` within bounds, and is
+/// **prefix-idempotent**: replaying exactly the bytes it called intact
+/// reproduces the same events and length. Resume correctness rides on
+/// that: truncate-to-intact + append must not change the meaning of what
+/// survived.
+fn check_journal(bytes: &[u8]) -> Verdict {
+    let replay =
+        |b: &[u8]| catch_unwind(AssertUnwindSafe(|| replay_journal(b, JOURNAL_FUZZ_SWEEP)));
+    match replay(bytes) {
+        Err(_) => Verdict::Violation(format!(
+            "replay_journal panicked on {}-byte input",
             bytes.len()
         )),
-        Ok(Err(_)) => report.rejected += 1, // foreign sweep: structured error
-        Ok(Ok(r)) => {
-            if r.intact_len > bytes.len() {
-                report.fail(format!(
-                    "intact_len {} exceeds input length {}, {ctx}",
-                    r.intact_len,
-                    bytes.len()
-                ));
-                return;
+        Ok(Err(_)) => Verdict::Rejected, // foreign sweep: structured error
+        Ok(Ok(r)) if r.intact_len > bytes.len() => Verdict::Violation(format!(
+            "intact_len {} exceeds input length {}",
+            r.intact_len,
+            bytes.len()
+        )),
+        Ok(Ok(r)) => match replay(&bytes[..r.intact_len]) {
+            Ok(Ok(again)) if again.events == r.events && again.intact_len == r.intact_len => {
+                Verdict::Accepted
             }
-            match catch_unwind(AssertUnwindSafe(|| {
-                replay_journal(&bytes[..r.intact_len], JOURNAL_FUZZ_SWEEP)
-            })) {
-                Ok(Ok(again)) if again.events == r.events && again.intact_len == r.intact_len => {
-                    report.accepted += 1;
-                }
-                other => report.fail(format!(
-                    "replay is not prefix-idempotent (intact_len {}): {other:?}, {ctx}",
-                    r.intact_len
-                )),
-            }
-        }
+            other => Verdict::Violation(format!(
+                "replay is not prefix-idempotent (intact_len {}): {other:?}",
+                r.intact_len
+            )),
+        },
     }
 }
 
-/// One lease-contract check: `Lease::parse` must accept-or-reject without
-/// panicking, and an accepted lease must re-render to exactly the input
-/// bytes (strict canonical form — a torn or tampered lease must read as
+/// Three in four inputs are mutated corpus journals; the rest are mutated
+/// renderings of random leases, which must parse to something that
+/// re-renders byte-exactly or not at all (a torn or tampered lease reads as
 /// *stale*, never as someone's live claim).
-pub fn check_lease_bytes(bytes: &[u8], report: &mut FuzzReport, ctx: &str) {
-    match catch_unwind(AssertUnwindSafe(|| Lease::parse(bytes))) {
-        Err(_) => report.fail(format!(
-            "Lease::parse panicked on {}-byte input, {ctx}",
-            bytes.len()
-        )),
-        Ok(None) => report.rejected += 1,
-        Ok(Some(lease)) => {
-            if lease.render().as_bytes() != bytes {
-                report.fail(format!(
-                    "accepted lease does not re-render to itself ({:?}), {ctx}",
-                    String::from_utf8_lossy(bytes)
-                ));
-                return;
-            }
-            report.accepted += 1;
-        }
-    }
-}
-
-/// Fuzzes [`reno_dse::replay_journal`] and [`reno_dse::Lease::parse`] for
-/// `iters` iterations from `seed`, mutating realistic journals (seal
-/// flips, torn tails, line deletion/duplication/swap, interleaved sealed
-/// garbage) and rendered lease lines (field lies, byte damage).
-pub fn run_journal_fuzz(seed: u64, iters: u64) -> FuzzReport {
+fn run_journal(seed: u64, iters: u64) -> FuzzReport {
     let corpus = journal_corpus();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut report = FuzzReport::default();
-    for i in 0..iters {
-        let ctx = format!("iter {i} (seed {seed})");
-        if i % 4 == 3 {
-            // Lease arm: mutate a canonical rendering at the byte level.
+    run(seed, iters, |rng| {
+        if rng.gen_range(0u32..4) == 0 {
             let lease = Lease {
                 pid: rng.gen::<u32>(),
                 nonce: rng.gen::<u64>(),
                 expires_unix_ms: rng.gen_range(0u64..1 << 48),
             };
-            let mut bytes = lease.render().into_bytes();
-            for _ in 0..rng.gen_range(1u32..=2) {
-                mutate_journal(&mut bytes, &mut rng);
-            }
-            check_lease_bytes(&bytes, &mut report, &ctx);
+            let bytes = mutate(lease.render().into_bytes(), JOURNAL_ARMS, rng);
+            round_trip(
+                "Lease::parse",
+                &bytes,
+                |b| Lease::parse(b).ok_or(()),
+                |l| l.render().into_bytes(),
+            )
         } else {
-            let mut bytes = corpus[rng.gen_range(0usize..corpus.len())].clone();
-            for _ in 0..rng.gen_range(1u32..=3) {
-                mutate_journal(&mut bytes, &mut rng);
-            }
-            check_journal_bytes(&bytes, &mut report, &ctx);
+            check_journal(&mutate(pick(&corpus, rng).clone(), JOURNAL_ARMS, rng))
         }
-    }
-    report
+    })
 }
 
 // ------------------------------------------------------------------ report
 //
-// Textual mutation of the repo-root `BENCH_sim.json` perf trajectory fed
-// to `reno_bench::report::validate` — the one *text* format the repo reads
-// back after a human (or an interrupted `bench_report --record`) may have
-// edited it. The contract: `validate` must accept-or-reject without
-// panicking, and whatever it accepts must flow through `check` and
-// `render` without panicking either (the gate runs on CI, where a panic is
-// a lost signal).
+// The repo-root `BENCH_sim.json` perf trajectory is the one text format the
+// repo reads back after a human, or an interrupted `bench_report --record`,
+// may have edited it. The gate runs on CI, where a panic is a lost signal.
 
-/// The mutation corpus: valid v3 trajectory files — an archive with no
-/// runs, and the same archive followed by a full `pre-opt`/`opt` window of
-/// five `detail_default` runs a side (so the gate path is live) and one
-/// unpaired `dse_sweep` run.
+/// Valid v3 trajectory files: an archive with no runs, and the same archive
+/// followed by a full `pre-opt`/`opt` window of five `detail_default` runs
+/// a side (so the gate path is live) and one unpaired `dse_sweep` run.
 ///
 /// # Panics
 ///
 /// Panics if the repository's `BENCHMARK.json` does not parse.
-pub fn report_corpus() -> Vec<String> {
+fn report_corpus() -> Vec<String> {
     use reno_bench::report::{benchmark_metrics, record, EMPTY_FILE};
     let metrics = benchmark_metrics().expect("BENCHMARK.json parses");
     let table: Vec<String> = metrics
@@ -1070,169 +868,68 @@ pub fn report_corpus() -> Vec<String> {
     vec![archive, full]
 }
 
-/// Applies one random textual mutation to the file bytes.
-fn mutate_report(bytes: &mut Vec<u8>, rng: &mut SmallRng) {
-    let lines_of = |b: &[u8]| -> Vec<(usize, usize)> {
-        let mut spans = Vec::new();
-        let mut start = 0usize;
-        for (i, &c) in b.iter().enumerate() {
-            if c == b'\n' {
-                spans.push((start, i + 1));
-                start = i + 1;
-            }
+const REPORT_ARMS: &[Arm] = &[
+    flip_bit,
+    // Overwrite one byte with a structural character.
+    |b, rng| {
+        if !b.is_empty() {
+            let i = rng.gen_range(0usize..b.len());
+            b[i] = *pick(&b"{}[]\",:.-0 "[..], rng);
         }
-        if start < b.len() {
-            spans.push((start, b.len()));
+    },
+    delete_line,
+    duplicate_line,
+    swap_lines,
+    truncate,
+    // Corrupt one digit: sign flips, non-numeric junk, huge exponents.
+    |b, rng| {
+        let digits: Vec<usize> = (0..b.len()).filter(|&i| b[i].is_ascii_digit()).collect();
+        if !digits.is_empty() {
+            let i = *pick(&digits, rng);
+            b[i] = *pick(&b"-xe."[..], rng);
         }
-        spans
-    };
-    match rng.gen_range(0u32..9) {
-        // Single bit flip anywhere.
-        0 => {
-            if !bytes.is_empty() {
-                let i = rng.gen_range(0usize..bytes.len());
-                bytes[i] ^= 1 << rng.gen_range(0u32..8);
-            }
+    },
+    // Delete one quoted token (a key name, a string value, a quote pair),
+    // desynchronizing the key/value structure.
+    |b, rng| {
+        let quotes: Vec<usize> = (0..b.len()).filter(|&i| b[i] == b'"').collect();
+        if quotes.len() >= 2 {
+            let k = rng.gen_range(0usize..quotes.len() - 1);
+            b.drain(quotes[k]..=quotes[k + 1]);
         }
-        // Overwrite one byte with a structural character.
-        1 => {
-            if !bytes.is_empty() {
-                let i = rng.gen_range(0usize..bytes.len());
-                const STRUCT: &[u8] = b"{}[]\",:.-0 ";
-                bytes[i] = STRUCT[rng.gen_range(0usize..STRUCT.len())];
-            }
-        }
-        // Delete a whole line (header, entry, or footer).
-        2 => {
-            let spans = lines_of(bytes);
-            if !spans.is_empty() {
-                let (s, e) = spans[rng.gen_range(0usize..spans.len())];
-                bytes.drain(s..e);
-            }
-        }
-        // Duplicate a line in place (duplicate entries, doubled headers).
-        3 => {
-            let spans = lines_of(bytes);
-            if !spans.is_empty() {
-                let (s, e) = spans[rng.gen_range(0usize..spans.len())];
-                let line = bytes[s..e].to_vec();
-                bytes.splice(e..e, line);
-            }
-        }
-        // Swap two lines (entries out of order, footer before entries).
-        4 => {
-            let spans = lines_of(bytes);
-            if spans.len() >= 2 {
-                let a = rng.gen_range(0usize..spans.len());
-                let b = rng.gen_range(0usize..spans.len());
-                if a != b {
-                    let (a, b) = (a.min(b), a.max(b));
-                    let la = bytes[spans[a].0..spans[a].1].to_vec();
-                    let lb = bytes[spans[b].0..spans[b].1].to_vec();
-                    bytes.splice(spans[b].0..spans[b].1, la);
-                    bytes.splice(spans[a].0..spans[a].1, lb);
-                }
-            }
-        }
-        // Truncate (torn append).
-        5 => {
-            let keep = rng.gen_range(0usize..=bytes.len());
-            bytes.truncate(keep);
-        }
-        // Corrupt one digit: sign flips, non-numeric junk, huge exponents.
-        6 => {
-            let digits: Vec<usize> = bytes
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.is_ascii_digit())
-                .map(|(i, _)| i)
-                .collect();
-            if !digits.is_empty() {
-                let i = digits[rng.gen_range(0usize..digits.len())];
-                const JUNK: &[u8] = b"-xe.";
-                bytes[i] = JUNK[rng.gen_range(0usize..JUNK.len())];
-            }
-        }
-        // Delete one quoted token (a key name, a string value, a quote
-        // pair), desynchronizing the key/value structure.
-        7 => {
-            let quotes: Vec<usize> = bytes
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| **c == b'"')
-                .map(|(i, _)| i)
-                .collect();
-            if quotes.len() >= 2 {
-                let k = rng.gen_range(0usize..quotes.len() - 1);
-                bytes.drain(quotes[k]..=quotes[k + 1]);
-            }
-        }
-        // Insert garbage at a random position.
-        _ => {
-            let at = rng.gen_range(0usize..=bytes.len());
-            let n = rng.gen_range(1usize..=8);
-            let garbage: Vec<u8> = (0..n).map(|_| rng.gen::<u8>()).collect();
-            bytes.splice(at..at, garbage);
-        }
-    }
-}
+    },
+    insert_garbage,
+];
 
-/// One report-contract check: `validate`-or-reject without panic, and an
-/// accepted trajectory must survive `check` + `render` without panicking.
-pub fn check_report_text(
-    text: &str,
-    metrics: &[reno_bench::report::Metric],
-    report: &mut FuzzReport,
-    ctx: &str,
-) {
+/// The report contract: `validate` accepts or rejects without panic, and
+/// an accepted trajectory survives `check` + `render` without panicking.
+fn check_report(text: &str, metrics: &[Metric]) -> Verdict {
     use reno_bench::report::{check, render, validate};
     match catch_unwind(AssertUnwindSafe(|| validate(text, metrics))) {
-        Err(_) => report.fail(format!(
-            "report::validate panicked on {}-byte input, {ctx}",
+        Err(_) => Verdict::Violation(format!(
+            "report::validate panicked on {}-byte input",
             text.len()
         )),
-        Ok(Err(_)) => report.rejected += 1,
-        Ok(Ok(trajectory)) => {
-            match catch_unwind(AssertUnwindSafe(|| {
-                render(&trajectory, &check(&trajectory))
-            })) {
-                Err(_) => report.fail(format!(
-                    "report::check/render panicked on a validated {}-run trajectory, {ctx}",
-                    trajectory.runs.len()
-                )),
-                Ok(_) => report.accepted += 1,
-            }
-        }
+        Ok(Err(_)) => Verdict::Rejected,
+        Ok(Ok(trajectory)) => match catch_unwind(AssertUnwindSafe(|| {
+            render(&trajectory, &check(&trajectory))
+        })) {
+            Err(_) => Verdict::Violation(format!(
+                "report::check/render panicked on a validated {}-run trajectory",
+                trajectory.runs.len()
+            )),
+            Ok(_) => Verdict::Accepted,
+        },
     }
 }
 
-/// Fuzzes [`reno_bench::report::validate`] (and, on acceptance,
-/// `check` + `render`) for `iters` iterations from `seed`, mutating a
-/// corpus of valid trajectory files: bit flips, line deletions/
-/// duplications/swaps, truncations, digit corruption, quoted-token
-/// deletion, and garbage insertion. Mutants with invalid UTF-8 exercise
-/// the lossy-decoding path a text editor can produce.
-pub fn run_report_fuzz(seed: u64, iters: u64) -> FuzzReport {
+fn run_report(seed: u64, iters: u64) -> FuzzReport {
     let corpus = report_corpus();
     let metrics = reno_bench::report::benchmark_metrics().expect("BENCHMARK.json parses");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut report = FuzzReport::default();
-    for i in 0..iters {
-        let mut bytes = corpus[rng.gen_range(0usize..corpus.len())]
-            .clone()
-            .into_bytes();
-        for _ in 0..rng.gen_range(1u32..=3) {
-            mutate_report(&mut bytes, &mut rng);
-        }
-        let text = String::from_utf8_lossy(&bytes);
-        check_report_text(
-            &text,
-            &metrics,
-            &mut report,
-            &format!("iter {i} (seed {seed})"),
-        );
-    }
-    report
+    run(seed, iters, |rng| {
+        let bytes = mutate(pick(&corpus, rng).clone().into_bytes(), REPORT_ARMS, rng);
+        check_report(&String::from_utf8_lossy(&bytes), &metrics)
+    })
 }
 
 // --------------------------------------------------------------------- asm
@@ -1352,62 +1049,54 @@ fn gen_asm_program(rng: &mut SmallRng) -> (Asm, PlantedDefects) {
     (a, planted)
 }
 
-/// Fuzzes [`reno_isa::Asm::assemble`] (labels, fixups, branch-range
-/// checks) for `iters` iterations from `seed`.
-///
-/// `assemble()` must return `Ok` or a structured [`AsmError`] — never
-/// panic — and its verdict must match the defects the generator planted:
-/// a clean program must assemble, a program with an undefined/duplicate
-/// label or out-of-range branch must fail with that error, and every
-/// instruction of an accepted program must encode/decode round-trip.
-pub fn run_asm_fuzz(seed: u64, iters: u64) -> FuzzReport {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut report = FuzzReport::default();
-    for i in 0..iters {
-        let (a, planted) = gen_asm_program(&mut rng);
-        let ctx = format!("iter {i} (seed {seed})");
-        match catch_unwind(AssertUnwindSafe(|| a.assemble())) {
-            Err(_) => report.fail(format!("assemble() panicked, {ctx}")),
-            Ok(Err(e)) => {
-                let justified = match &e {
-                    AsmError::UndefinedLabel(l) => planted.undefined.contains(l),
-                    AsmError::DuplicateLabel(l) => planted.duplicated.contains(l),
-                    AsmError::BranchOutOfRange { .. } => planted.out_of_range,
-                };
-                if justified {
-                    report.rejected += 1;
-                } else {
-                    report.fail(format!("spurious {e} on a clean program, {ctx}"));
-                }
-            }
-            Ok(Ok(p)) => {
-                if !planted.undefined.is_empty() || !planted.duplicated.is_empty() {
-                    report.fail(format!(
-                        "assemble() accepted a program with planted defects {planted:?}, {ctx}"
-                    ));
-                    continue;
-                }
-                let mut ok = true;
-                for (pc, inst) in p.insts.iter().enumerate() {
-                    let word = encode(inst);
-                    match decode(word) {
-                        Ok(back) if back == *inst => {}
-                        other => {
-                            report.fail(format!(
-                                "inst at pc {pc} does not round-trip ({inst:?} -> {word:#010x} -> {other:?}), {ctx}"
-                            ));
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok {
-                    report.accepted += 1;
-                }
+/// The assembler contract: `assemble()` returns `Ok` or a structured
+/// [`AsmError`], never panics, and its verdict matches the planted
+/// defects. A clean program must assemble, a program with an undefined or
+/// duplicate label or an out-of-range branch must fail with that error,
+/// and every instruction of an accepted program must encode/decode
+/// round-trip.
+fn check_asm(a: &Asm, planted: &PlantedDefects) -> Verdict {
+    match catch_unwind(AssertUnwindSafe(|| a.assemble())) {
+        Err(_) => Verdict::Violation("assemble() panicked".into()),
+        Ok(Err(e)) => {
+            let justified = match &e {
+                AsmError::UndefinedLabel(l) => planted.undefined.contains(l),
+                AsmError::DuplicateLabel(l) => planted.duplicated.contains(l),
+                AsmError::BranchOutOfRange { .. } => planted.out_of_range,
+            };
+            if justified {
+                Verdict::Rejected
+            } else {
+                Verdict::Violation(format!("spurious {e} on a clean program"))
             }
         }
+        Ok(Ok(_)) if !planted.undefined.is_empty() || !planted.duplicated.is_empty() => {
+            Verdict::Violation(format!(
+                "assemble() accepted a program with planted defects {planted:?}"
+            ))
+        }
+        Ok(Ok(p)) => {
+            for (pc, inst) in p.insts.iter().enumerate() {
+                let word = encode(inst);
+                match decode(word) {
+                    Ok(back) if back == *inst => {}
+                    other => {
+                        return Verdict::Violation(format!(
+                            "inst at pc {pc} does not round-trip ({inst:?} -> {word:#010x} -> {other:?})"
+                        ))
+                    }
+                }
+            }
+            Verdict::Accepted
+        }
     }
-    report
+}
+
+fn run_asm(seed: u64, iters: u64) -> FuzzReport {
+    run(seed, iters, |rng| {
+        let (a, planted) = gen_asm_program(rng);
+        check_asm(&a, &planted)
+    })
 }
 
 #[cfg(test)]
@@ -1430,26 +1119,26 @@ mod tests {
         }
     }
 
+    /// Every surface at a short smoke count: no violation, and both verdicts
+    /// occur, so neither the accept nor the reject path is dead.
     #[test]
-    fn decode_fuzz_smoke_is_clean() {
-        let r = run_decode_fuzz(DEFAULT_SEED, 3000);
-        assert!(r.clean(), "violations: {:?}", r.failures);
-        assert!(r.accepted > 0, "some words decode");
-        assert!(r.rejected > 0, "some words are rejected");
-    }
-
-    #[test]
-    fn checkpoint_fuzz_smoke_is_clean() {
-        let r = run_checkpoint_fuzz(DEFAULT_SEED, 300);
-        assert!(r.clean(), "violations: {:?}", r.failures);
-        assert!(r.rejected > 0, "mutations mostly break the image");
-    }
-
-    #[test]
-    fn pass_fuzz_smoke_is_clean() {
-        let r = run_pass_fuzz(DEFAULT_SEED, 300);
-        assert!(r.clean(), "violations: {:?}", r.failures);
-        assert!(r.rejected > 0, "mutations mostly break the image");
+    fn every_surface_smoke_is_clean() {
+        for &(name, run) in SURFACES {
+            let iters = match name {
+                "decode" | "journal" => 3000,
+                "store" | "report" => 2000,
+                "asm" => 1500,
+                _ => 300,
+            };
+            let r = run(DEFAULT_SEED, iters);
+            assert!(r.clean(), "{name}: violations: {:?}", r.failures);
+            assert!(
+                r.accepted > 0 && r.rejected > 0,
+                "{name}: {} accepted, {} rejected",
+                r.accepted,
+                r.rejected
+            );
+        }
     }
 
     #[test]
@@ -1485,21 +1174,6 @@ mod tests {
     }
 
     #[test]
-    fn store_fuzz_smoke_is_clean() {
-        let r = run_store_fuzz(DEFAULT_SEED, 2000);
-        assert!(r.clean(), "violations: {:?}", r.failures);
-        assert!(r.rejected > 0, "mutations mostly break the frame");
-    }
-
-    #[test]
-    fn journal_fuzz_smoke_is_clean() {
-        let r = run_journal_fuzz(DEFAULT_SEED, 3000);
-        assert!(r.clean(), "violations: {:?}", r.failures);
-        assert!(r.accepted > 0, "some mutants still replay/parse");
-        assert!(r.rejected > 0, "foreign sweeps and torn leases reject");
-    }
-
-    #[test]
     fn journal_corpus_replays_cleanly() {
         // The unmutated corpus must be fully intact (or a structured
         // foreign-sweep error) — otherwise the fuzzer starts from noise.
@@ -1509,14 +1183,6 @@ mod tests {
                 Err(_) => assert_eq!(i, 4, "only the foreign-sweep file errors"),
             }
         }
-    }
-
-    #[test]
-    fn report_fuzz_smoke_is_clean() {
-        let r = run_report_fuzz(DEFAULT_SEED, 2000);
-        assert!(r.clean(), "violations: {:?}", r.failures);
-        assert!(r.accepted > 0, "some mutants still validate");
-        assert!(r.rejected > 0, "mutations mostly break the file");
     }
 
     #[test]
@@ -1533,14 +1199,6 @@ mod tests {
         let windows = check(&t);
         assert_eq!(windows.len(), 1);
         assert!(windows[0].pass(), "{windows:?}");
-    }
-
-    #[test]
-    fn asm_fuzz_smoke_is_clean() {
-        let r = run_asm_fuzz(DEFAULT_SEED, 1500);
-        assert!(r.clean(), "violations: {:?}", r.failures);
-        assert!(r.accepted > 0, "some programs assemble");
-        assert!(r.rejected > 0, "some planted defects are caught");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Named regression corpus for the `Asm` label/fixup paths — the
-//! rejection and resolution classes the `fuzz_asm` harness probes
+//! rejection and resolution classes `reno-fuzz`'s `asm` surface probes
 //! randomly, pinned as deterministic cases.
 
 use reno_isa::{decode, encode, Asm, AsmError, Reg};

@@ -1,7 +1,7 @@
 //! Fuzz regression corpus for instruction decode.
 //!
 //! Each test pins one rejection class the byte-level fuzzer
-//! (`reno-fuzz`'s `fuzz_decode`) exercises, as plain deterministic cases CI
+//! (`reno-fuzz`'s `decode` surface) exercises, as plain deterministic cases CI
 //! replays forever without the fuzzer: reserved opcode slots, and
 //! non-canonical field bits for every format's strictness rule. The final
 //! test replays a deterministic mini-sweep of the whole contract:
@@ -157,7 +157,8 @@ fn misc_format_fields_reject() {
 }
 
 /// Deterministic mini-sweep over every opcode slot crossed with a fixed set
-/// of field patterns — the shape of what `fuzz_decode` explores, pinned.
+/// of field patterns — the shape of what the `decode` fuzzer explores,
+/// pinned.
 /// Nothing may panic, and accepted words must re-encode to themselves.
 #[test]
 fn deterministic_sweep_decode_or_reject_round_trips() {

@@ -188,9 +188,9 @@ impl Cache {
     }
 
     /// The full set-scan probe, without the MRU shortcut (the memo is still
-    /// re-pointed at the touched line). Public only as the reference
-    /// baseline for the MRU-memoization microbenchmark; simulation code
-    /// should call [`Cache::probe_and_fill`].
+    /// re-pointed at the touched line). Public only as the reference that
+    /// `mru_fast_path_matches_full_probe` holds the MRU shortcut to;
+    /// simulation code should call [`Cache::probe_and_fill`].
     pub fn probe_and_fill_unmemoized(&mut self, addr: u64, write: bool) -> bool {
         self.probe_scan(addr, write)
     }

@@ -553,9 +553,9 @@ pub struct CheckpointPass {
 
 impl CheckpointPass {
     /// Runs the serial functional pass for `program` under sampling shape
-    /// `sc` (the period taken from `sc.period`). See the type docs.
+    /// `sc`. See the type docs.
     pub fn compute(program: &Program, sc: &SampleConfig) -> CheckpointPass {
-        functional_pass(program, sc, sc.period)
+        functional_pass(program, sc, None)
     }
 
     /// Serializes to a self-describing little-endian byte stream.
@@ -673,18 +673,36 @@ impl CheckpointPass {
     }
 }
 
-fn functional_pass(program: &Program, sc: &SampleConfig, period: u64) -> CheckpointPass {
-    let (k, m) = segment_shape(period);
-    let mut cpu = Cpu::new(program);
+/// The phase-1 pass for shape `sc`: one checkpoint per segment boundary,
+/// then the run's totals. Without a length probe it is one functional run
+/// from the program's start to `sc.max_insts`. With one, a segment
+/// checkpoint is taken after restoring the probe's latest grid point at or
+/// below it (or continuing from the previous segment's, when that is
+/// nearer), and the totals are the probe's. A restored machine reports the
+/// same dirty pages as the uninterrupted run, so the bytes never depend on
+/// the grid.
+fn functional_pass(
+    program: &Program,
+    sc: &SampleConfig,
+    probe: Option<&LengthProbe>,
+) -> CheckpointPass {
+    let (k, m) = segment_shape(sc.period);
     let mut dp = DecodedProgram::new(program);
+    let mut cpu: Option<Cpu> = None;
     let mut checkpoints = Vec::new();
     let mut error = None;
-    let mut j = 1u64;
-    while error.is_none() && !cpu.halted() {
-        let pos = segment_checkpoint_position(sc.head, period, k, m, j);
-        if pos >= sc.max_insts {
+    for j in 1.. {
+        let pos = segment_checkpoint_position(sc.head, sc.period, k, m, j);
+        // A probe knows where the program stops; a direct pass runs to the
+        // cap.
+        if pos >= probe.map_or(sc.max_insts, |p| p.total) {
             break;
         }
+        let at = cpu.as_ref().map_or(0, Cpu::executed);
+        if let Some(restored) = probe.and_then(|p| p.restore_past(at, pos)) {
+            cpu = Some(restored);
+        }
+        let cpu = cpu.get_or_insert_with(|| Cpu::new(program));
         if let Err(e) = cpu.advance_decoded(&mut dp, pos) {
             error = Some(e);
             break;
@@ -692,15 +710,25 @@ fn functional_pass(program: &Program, sc: &SampleConfig, period: u64) -> Checkpo
         if cpu.halted() {
             break;
         }
-        let ck = Checkpoint::take_with_dirty_pages(&cpu, &cpu.mem().dirty_pages_sorted());
-        let mut bytes = ck.to_bytes();
+        let mut bytes =
+            Checkpoint::take_with_dirty_pages(cpu, &cpu.mem().dirty_pages_sorted()).to_bytes();
         // `panic` here kills the serial pass (retried, then the full-detail
         // fallback); `corrupt` poisons this checkpoint's stored bytes, which
         // pass validation or the owning segment's restore must catch.
         reno_chaos::failpoint_bytes!(FP_PASS_CHECKPOINT, j, &mut bytes);
         checkpoints.push(bytes);
-        j += 1;
     }
+    if let Some(p) = probe {
+        return CheckpointPass {
+            checkpoints,
+            total_insts: p.total,
+            halted: p.halted,
+            checksum: p.checksum,
+            digest: p.digest,
+            error,
+        };
+    }
+    let mut cpu = cpu.unwrap_or_else(|| Cpu::new(program));
     if error.is_none() {
         if let Err(e) = cpu.advance_decoded(&mut dp, sc.max_insts) {
             error = Some(e);
@@ -1350,7 +1378,7 @@ pub fn run_sampled(program: &Program, cfg: MachineConfig, sc: &SampleConfig) -> 
         program,
         cfg,
         sc,
-        || functional_pass(program, sc, sc.period),
+        || CheckpointPass::compute(program, sc),
         None,
     )
     .0
@@ -1851,57 +1879,20 @@ impl LengthProbe {
     }
 
     /// The phase-1 pass for shape `sc`, byte-identical to
-    /// [`CheckpointPass::compute`]: each segment checkpoint is taken after
-    /// restoring the nearest grid checkpoint (or continuing from the
-    /// previous segment's, when that is nearer) and advancing to its
-    /// position. A restored machine reports the same dirty pages as the
-    /// uninterrupted run, so the checkpoint bytes match. Falls back to the
-    /// direct pass when the probe hit an execution error.
+    /// [`CheckpointPass::compute`] but derived from the grid. A probe that
+    /// hit an execution error falls back to the direct pass, which meets
+    /// the error itself.
     fn pass_for(&self, program: &Program, sc: &SampleConfig) -> CheckpointPass {
         debug_assert_eq!(sc.max_insts, self.max_insts, "probe and rung share the cap");
-        if self.error.is_some() {
-            return functional_pass(program, sc, sc.period);
-        }
-        let (k, m) = segment_shape(sc.period);
-        let mut dp = DecodedProgram::new(program);
-        let mut cpu: Option<Cpu> = None;
-        let mut checkpoints = Vec::new();
-        let mut error = None;
-        for j in 1.. {
-            let pos = segment_checkpoint_position(sc.head, sc.period, k, m, j);
-            // The direct pass checkpoints exactly the positions the program
-            // is still running at (the probe's total is capped at max_insts).
-            if pos >= self.total {
-                break;
-            }
-            let g = (pos / self.spacing).min(self.grid.len() as u64);
-            if cpu
-                .as_ref()
-                .map_or(true, |c| c.executed() < g * self.spacing)
-            {
-                cpu = Some(match g {
-                    0 => Cpu::new(program),
-                    g => self.grid[g as usize - 1].restore_with_base(&self.base),
-                });
-            }
-            let cpu = cpu.as_mut().expect("set above");
-            if let Err(e) = cpu.advance_decoded(&mut dp, pos) {
-                error = Some(e);
-                break;
-            }
-            let mut bytes =
-                Checkpoint::take_with_dirty_pages(cpu, &cpu.mem().dirty_pages_sorted()).to_bytes();
-            reno_chaos::failpoint_bytes!(FP_PASS_CHECKPOINT, j, &mut bytes);
-            checkpoints.push(bytes);
-        }
-        CheckpointPass {
-            checkpoints,
-            total_insts: self.total,
-            halted: self.halted,
-            checksum: self.checksum,
-            digest: self.digest,
-            error,
-        }
+        functional_pass(program, sc, self.error.is_none().then_some(self))
+    }
+
+    /// The machine at the latest grid point at or below `pos`, when that
+    /// point lies past `at`; a machine already at `at` gets to `pos` sooner
+    /// by running on.
+    fn restore_past(&self, at: u64, pos: u64) -> Option<Cpu> {
+        let g = (pos / self.spacing).min(self.grid.len() as u64);
+        (at < g * self.spacing).then(|| self.grid[g as usize - 1].restore_with_base(&self.base))
     }
 }
 

@@ -1,7 +1,7 @@
 //! Fuzz regression corpus for checkpoint-pass deserialization.
 //!
 //! Each test pins one rejection class the structure-aware mutational fuzzer
-//! (`reno-fuzz`'s `fuzz_pass`) exercises, as plain deterministic cases CI
+//! (`reno-fuzz`'s `pass` surface) exercises, as plain deterministic cases CI
 //! replays forever without the fuzzer: bad magic, unknown versions,
 //! truncations at every byte boundary, count lies (including the
 //! `u32::MAX` no-allocation case), record-length lies, out-of-order

@@ -13,7 +13,7 @@ use reno_core::RenoConfig;
 use reno_isa::{Asm, Program, Reg};
 use reno_sample::{run_sampled, SampleConfig};
 use reno_sim::MachineConfig;
-use reno_trace::{chrome_trace_json, validate_json};
+use reno_trace::{chrome_trace_json, parse_json};
 
 fn kernel(iters: i64, mask: i16) -> Program {
     let mut a = Asm::named("tracedet");
@@ -56,7 +56,7 @@ fn sampled_trace_export_is_byte_identical_across_thread_counts() {
     }
     std::env::remove_var("RENO_THREADS");
 
-    validate_json(&exports[0]).expect("merged export is valid JSON");
+    parse_json(&exports[0]).expect("merged export is valid JSON");
     for (k, e) in exports.iter().enumerate().skip(1) {
         assert_eq!(
             &exports[0], e,

@@ -9,11 +9,8 @@
 //! loudly and prints the full observed table for comparison.
 //!
 //! If a *deliberate* timing-model change lands (a new latency, a different
-//! structural hazard), re-pin by running with `RENO_PRINT_PINS=1`:
-//!
-//! ```text
-//! RENO_PRINT_PINS=1 cargo test -p reno-sim --test pinned_timing -- --nocapture
-//! ```
+//! structural hazard), re-pin by copying the observed table from the
+//! failure message into `PINS`.
 
 use reno_core::RenoConfig;
 use reno_isa::{Asm, Program, Reg};
@@ -93,11 +90,10 @@ fn chase_kernel() -> Program {
     let mut a = Asm::named("chase");
     // A 64KB ring of pointers, each pointing 4099*8 bytes ahead (mod size).
     let n = 8192usize;
-    let mut ws = vec![0u64; n];
     let base = 0x0001_0000u64; // data segment base (see reno-isa docs)
-    for i in 0..n {
-        ws[i] = base + (((i + 4099) % n) as u64) * 8;
-    }
+    let ws: Vec<u64> = (0..n)
+        .map(|i| base + (((i + 4099) % n) as u64) * 8)
+        .collect();
     let buf = a.words("ring", &ws);
     a.li(Reg::S0, buf as i64);
     a.li(Reg::T0, 4000);
@@ -157,12 +153,6 @@ fn check_pins(reference: bool) {
             assert!(r.halted, "{kname}/{cname} halts");
             observed.push((*kname, cname, r.cycles, r.retired));
         }
-    }
-    if std::env::var("RENO_PRINT_PINS").is_ok() {
-        for (k, c, cy, re) in &observed {
-            println!("    (\"{k}\", \"{c}\", {cy}, {re}),");
-        }
-        return;
     }
     let table: Vec<String> = observed
         .iter()

@@ -17,8 +17,7 @@ use reno_core::RenoConfig;
 use reno_isa::{Asm, Program, Reg};
 use reno_sim::{MachineConfig, SimResult, Simulator};
 use reno_trace::{
-    chrome_trace_json, validate_json, BranchClass, CacheLevel, EventKind, RenameOutcome,
-    SquashCause,
+    chrome_trace_json, parse_json, BranchClass, CacheLevel, EventKind, RenameOutcome, SquashCause,
 };
 
 /// Same recipe as the equivalence suites: a random-but-terminating loop
@@ -278,7 +277,7 @@ fn traced_run_exports_valid_chrome_json() {
     .run(1 << 24);
     let t = r.trace.as_ref().expect("traced");
     let json = chrome_trace_json(t);
-    validate_json(&json).expect("export is syntactically valid JSON");
+    parse_json(&json).expect("export is syntactically valid JSON");
     assert!(json.contains("\"name\":\"IPC\""));
     assert!(json.contains("\"outcome\":\"const-fold\""));
     // The memory/predictor tracks ride along: named threads, cold-start

@@ -17,6 +17,8 @@
 //! directly in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`,
 //! turning a single simulation into a browsable pipeline visualization; the
 //! `trace_dump` binary in `reno-bench` is the command-line entry point.
+//! [`parse_json`] reads the export back, and with it every other JSON
+//! document the repository writes.
 
 use reno_isa::Opcode;
 use std::collections::{BTreeMap, HashMap};
@@ -727,119 +729,226 @@ pub fn chrome_trace_json(trace: &PipelineTrace) -> String {
     out
 }
 
-/// Minimal JSON syntax check (objects, arrays, strings, numbers, literals).
-/// Not a full RFC 8259 validator, but strict enough to catch any structural
-/// bug in the writer: unbalanced brackets, bad separators, bare tokens.
+/// A parsed JSON value. Object keys keep insertion order (the writer is
+/// deterministic, so lookups never depend on it).
+#[derive(Debug)]
+pub enum Value {
+    /// `{...}` — key/value pairs in document order.
+    Obj(Vec<(String, Value)>),
+    /// `[...]`
+    Arr(Vec<Value>),
+    /// `"..."`
+    Str(String),
+    /// Any number (the export only writes integers and short decimals,
+    /// all exactly representable).
+    Num(f64),
+    /// `true` / `false`
+    Bool(bool),
+    /// `null`
+    Null,
+}
+
+impl Value {
+    /// Object field lookup; `None` on missing key or non-object.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload as a non-negative integer (cycle counts, ids).
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_f64().filter(|n| *n >= 0.0).map(|n| n as u64)
+    }
+}
+
+struct Parser<'a> {
+    b: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Parser<'a> {
+    fn skip_ws(&mut self) {
+        while self.pos < self.b.len() && self.b[self.pos].is_ascii_whitespace() {
+            self.pos += 1;
+        }
+    }
+
+    fn err(&self, what: &str) -> String {
+        format!("{what} at byte {}", self.pos)
+    }
+
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos < self.b.len() && self.b[self.pos] == c {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected '{}'", c as char)))
+        }
+    }
+
+    fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.b.get(self.pos).copied()
+    }
+
+    fn value(&mut self) -> Result<Value, String> {
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            _ => Err(self.err("expected a JSON value")),
+        }
+    }
+
+    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
+        if self.b[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(v)
+        } else {
+            Err(self.err("bad literal"))
+        }
+    }
+
+    fn object(&mut self) -> Result<Value, String> {
+        self.expect(b'{')?;
+        let mut fields = Vec::new();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Obj(fields));
+        }
+        loop {
+            let key = self.string()?;
+            self.expect(b':')?;
+            fields.push((key, self.value()?));
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Obj(fields));
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<Value, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Arr(items));
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut s = String::new();
+        while self.pos < self.b.len() {
+            match self.b[self.pos] {
+                b'"' => {
+                    self.pos += 1;
+                    return Ok(s);
+                }
+                b'\\' => {
+                    self.pos += 1;
+                    let esc = *self
+                        .b
+                        .get(self.pos)
+                        .ok_or_else(|| self.err("open escape"))?;
+                    s.push(match esc {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'n' => '\n',
+                        b't' => '\t',
+                        b'r' => '\r',
+                        _ => return Err(self.err("unsupported escape")),
+                    });
+                    self.pos += 1;
+                }
+                c => {
+                    s.push(c as char);
+                    self.pos += 1;
+                }
+            }
+        }
+        Err(self.err("unterminated string"))
+    }
+
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.pos;
+        if self.b.get(self.pos) == Some(&b'-') {
+            self.pos += 1;
+        }
+        while self
+            .b
+            .get(self.pos)
+            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
+            self.pos += 1;
+        }
+        std::str::from_utf8(&self.b[start..self.pos])
+            .ok()
+            .and_then(|t| t.parse::<f64>().ok())
+            .map(Value::Num)
+            .ok_or_else(|| self.err("bad number"))
+    }
+}
+
+/// Parses one JSON document: the repository's one JSON reader, for the
+/// Chrome trace export above, `reno-dse`'s `stats.json`, `BENCH_sim.json`
+/// and `BENCHMARK.json`. Not a full RFC 8259 parser (no `\u` escapes), but
+/// strict about structure: unbalanced brackets, bad separators, bare
+/// tokens and trailing garbage are all errors.
 ///
 /// # Errors
 ///
-/// Returns a description and byte offset of the first syntax violation.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
+/// A description and byte offset of the first syntax problem.
+pub fn parse_json(s: &str) -> Result<Value, String> {
+    let mut p = Parser {
+        b: s.as_bytes(),
+        pos: 0,
+    };
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != p.b.len() {
+        return Err(p.err("trailing garbage"));
     }
-    fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    skip_ws(b, pos);
-                    string(b, pos)?;
-                    skip_ws(b, pos);
-                    if b.get(*pos) != Some(&b':') {
-                        return Err(format!("expected ':' at byte {pos}"));
-                    }
-                    *pos += 1;
-                    value(b, pos)?;
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(());
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    value(b, pos)?;
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(());
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => string(b, pos),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                *pos += 1;
-                while *pos < b.len()
-                    && (b[*pos].is_ascii_digit()
-                        || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-                {
-                    *pos += 1;
-                }
-                Ok(())
-            }
-            _ => {
-                for lit in ["true", "false", "null"] {
-                    if s_at(b, *pos, lit) {
-                        *pos += lit.len();
-                        return Ok(());
-                    }
-                }
-                Err(format!("unexpected token at byte {pos}"))
-            }
-        }
-    }
-    fn s_at(b: &[u8], pos: usize, lit: &str) -> bool {
-        b.len() >= pos + lit.len() && &b[pos..pos + lit.len()] == lit.as_bytes()
-    }
-    fn string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {pos}"));
-        }
-        *pos += 1;
-        while let Some(&c) = b.get(*pos) {
-            match c {
-                b'"' => {
-                    *pos += 1;
-                    return Ok(());
-                }
-                b'\\' => *pos += 2,
-                _ => *pos += 1,
-            }
-        }
-        Err("unterminated string".into())
-    }
-    value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(())
+    Ok(v)
 }
 
 #[cfg(test)]
@@ -987,7 +1096,7 @@ mod tests {
     #[test]
     fn sys_tracks_render_as_instants_and_counters() {
         let j = chrome_trace_json(&demo_trace());
-        validate_json(&j).expect("writer emits syntactically valid JSON");
+        parse_json(&j).expect("writer emits syntactically valid JSON");
         assert!(j.contains("\"name\":\"memory\""));
         assert!(j.contains("\"name\":\"predictor\""));
         assert!(j.contains("\"name\":\"L1D miss\""));
@@ -1027,7 +1136,7 @@ mod tests {
         // Counts double, and the writer stays valid on merged traces.
         assert_eq!(merged.retire_count(), 2 * t.retire_count());
         assert_eq!(merged.mshr_alloc_count(), 2 * t.mshr_alloc_count());
-        validate_json(&chrome_trace_json(&merged)).unwrap();
+        parse_json(&chrome_trace_json(&merged)).unwrap();
         // Deterministic: merging equal inputs yields equal bytes.
         let mut again = t.clone();
         again.append_rebased(&t);
@@ -1037,7 +1146,7 @@ mod tests {
     #[test]
     fn chrome_json_is_valid_and_structured() {
         let j = chrome_trace_json(&demo_trace());
-        validate_json(&j).expect("writer emits syntactically valid JSON");
+        parse_json(&j).expect("writer emits syntactically valid JSON");
         assert!(j.starts_with("{\"displayTimeUnit\""));
         // One async span per attempt: 3 fetches -> 3 b/e pairs.
         assert_eq!(j.matches("\"ph\":\"b\"").count(), 3);
@@ -1069,19 +1178,19 @@ mod tests {
         );
         t.sample(12, 1, 0);
         let j = chrome_trace_json(&t);
-        validate_json(&j).unwrap();
+        parse_json(&j).unwrap();
         assert!(j.contains("\"end\":\"inflight\""));
         assert!(j.contains("\"ts\":12"), "closes at the last sampled cycle");
     }
 
     #[test]
     fn json_validator_rejects_garbage() {
-        assert!(validate_json("{\"a\":1}").is_ok());
-        assert!(validate_json("[1,2,{\"x\":[true,null]}]").is_ok());
-        assert!(validate_json("{\"a\":1,}").is_err());
-        assert!(validate_json("{\"a\" 1}").is_err());
-        assert!(validate_json("{\"a\":1} trailing").is_err());
-        assert!(validate_json("[1,2").is_err());
-        assert!(validate_json("\"unterminated").is_err());
+        assert!(parse_json("{\"a\":1}").is_ok());
+        assert!(parse_json("[1,2,{\"x\":[true,null]}]").is_ok());
+        assert!(parse_json("{\"a\":1,}").is_err());
+        assert!(parse_json("{\"a\" 1}").is_err());
+        assert!(parse_json("{\"a\":1} trailing").is_err());
+        assert!(parse_json("[1,2").is_err());
+        assert!(parse_json("\"unterminated").is_err());
     }
 }
