@@ -1119,26 +1119,57 @@ mod tests {
         }
     }
 
-    /// Every surface at a short smoke count: no violation, and both verdicts
-    /// occur, so neither the accept nor the reject path is dead.
+    /// Runs the `SURFACES` entry `name` at a short smoke count: no
+    /// violation, and both verdicts occur, so neither the accept nor the
+    /// reject path is dead.
+    fn smoke(name: &str, iters: u64) {
+        let &(_, run) = SURFACES
+            .iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("no surface {name:?}"));
+        let r = run(DEFAULT_SEED, iters);
+        assert!(r.clean(), "{name}: violations: {:?}", r.failures);
+        assert!(
+            r.accepted > 0 && r.rejected > 0,
+            "{name}: {} accepted, {} rejected",
+            r.accepted,
+            r.rejected
+        );
+    }
+
     #[test]
-    fn every_surface_smoke_is_clean() {
-        for &(name, run) in SURFACES {
-            let iters = match name {
-                "decode" | "journal" => 3000,
-                "store" | "report" => 2000,
-                "asm" => 1500,
-                _ => 300,
-            };
-            let r = run(DEFAULT_SEED, iters);
-            assert!(r.clean(), "{name}: violations: {:?}", r.failures);
-            assert!(
-                r.accepted > 0 && r.rejected > 0,
-                "{name}: {} accepted, {} rejected",
-                r.accepted,
-                r.rejected
-            );
-        }
+    fn decode_fuzz_smoke_is_clean() {
+        smoke("decode", 3000);
+    }
+
+    #[test]
+    fn checkpoint_fuzz_smoke_is_clean() {
+        smoke("checkpoint", 300);
+    }
+
+    #[test]
+    fn pass_fuzz_smoke_is_clean() {
+        smoke("pass", 300);
+    }
+
+    #[test]
+    fn store_fuzz_smoke_is_clean() {
+        smoke("store", 2000);
+    }
+
+    #[test]
+    fn journal_fuzz_smoke_is_clean() {
+        smoke("journal", 3000);
+    }
+
+    #[test]
+    fn asm_fuzz_smoke_is_clean() {
+        smoke("asm", 1500);
+    }
+
+    #[test]
+    fn report_fuzz_smoke_is_clean() {
+        smoke("report", 2000);
     }
 
     #[test]
