@@ -1056,7 +1056,7 @@ fn gen_asm_program(rng: &mut SmallRng) -> (Asm, PlantedDefects) {
 /// and every instruction of an accepted program must encode/decode
 /// round-trip.
 fn check_asm(a: &Asm, planted: &PlantedDefects) -> Verdict {
-    match catch_unwind(AssertUnwindSafe(|| a.assemble())) {
+    match catch_unwind(AssertUnwindSafe(|| a.clone().assemble())) {
         Err(_) => Verdict::Violation("assemble() panicked".into()),
         Ok(Err(e)) => {
             let justified = match &e {

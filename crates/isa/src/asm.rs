@@ -61,7 +61,7 @@ enum Fixup {
 /// assert_eq!(p.insts.len(), 3); // li fit in one addi
 /// # Ok::<(), reno_isa::AsmError>(())
 /// ```
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Asm {
     name: String,
     insts: Vec<Inst>,
@@ -113,21 +113,25 @@ impl Asm {
 
     // ------------------------------------------------------------------ data
 
-    /// Allocates an initialized data segment; returns its byte address.
+    /// Allocates an initialized data segment holding a copy of `bytes`;
+    /// returns its byte address.
     pub fn data(&mut self, name: &str, bytes: &[u8]) -> u64 {
+        self.data_owned(name, bytes.to_vec())
+    }
+
+    /// Like [`Asm::data`], but stores the given buffer itself as the
+    /// segment's contents, without copying it.
+    pub fn data_owned(&mut self, name: &str, bytes: Vec<u8>) -> u64 {
         let addr = self.data_cursor;
-        self.data.push(DataSeg {
-            addr,
-            bytes: bytes.to_vec(),
-        });
         self.data_cursor += (bytes.len() as u64 + 7) & !7;
+        self.data.push(DataSeg { addr, bytes });
         self.data_labels.insert(name.to_string(), addr);
         addr
     }
 
     /// Allocates `len` zero bytes; returns the byte address.
     pub fn zeros(&mut self, name: &str, len: usize) -> u64 {
-        self.data(name, &vec![0u8; len])
+        self.data_owned(name, vec![0u8; len])
     }
 
     /// Allocates an array of 64-bit little-endian words; returns the address.
@@ -136,7 +140,7 @@ impl Asm {
         for w in ws {
             bytes.extend_from_slice(&w.to_le_bytes());
         }
-        self.data(name, &bytes)
+        self.data_owned(name, bytes)
     }
 
     /// Byte address of a previously declared data segment.
@@ -468,15 +472,19 @@ impl Asm {
 
     /// Resolves labels and produces the final [`Program`].
     ///
+    /// The assembler is consumed: its instructions and data segments move
+    /// into the program without a copy (a kernel's data can run to
+    /// megabytes). To keep using an assembler afterwards, assemble a clone.
+    ///
     /// # Errors
     ///
     /// Returns an error for undefined or duplicate labels, or branch offsets
     /// that do not fit in 16 bits.
-    pub fn assemble(&self) -> Result<Program, AsmError> {
-        if let Some(l) = &self.dup_label {
-            return Err(AsmError::DuplicateLabel(l.clone()));
+    pub fn assemble(self) -> Result<Program, AsmError> {
+        if let Some(l) = self.dup_label {
+            return Err(AsmError::DuplicateLabel(l));
         }
-        let mut insts = self.insts.clone();
+        let mut insts = self.insts;
         for (site, fixup) in &self.fixups {
             let (label, value) = match fixup {
                 Fixup::Rel(l) | Fixup::Hi(l) | Fixup::Lo(l) => {
@@ -501,10 +509,10 @@ impl Asm {
             insts[*site].imm = imm;
         }
         Ok(Program {
-            name: self.name.clone(),
+            name: self.name,
             insts,
             entry: 0,
-            data: self.data.clone(),
+            data: self.data,
         })
     }
 }

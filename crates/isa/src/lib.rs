@@ -13,7 +13,10 @@
 //! The crate provides the instruction model ([`Inst`], [`Opcode`], [`Reg`]),
 //! a 32-bit binary [`encode`]/[`decode`] pair, an [`Asm`] assembler with labels
 //! and data sections, and a [`Program`] container consumed by the functional
-//! and timing simulators.
+//! and timing simulators. [`Asm::assemble`] consumes the assembler and moves
+//! its instructions and data into the [`Program`]; [`Asm::data_owned`] takes
+//! a segment's bytes by value, so a kernel's data is built once and never
+//! copied on its way into the program.
 //!
 //! ```
 //! use reno_isa::{Asm, Reg};

@@ -38,9 +38,15 @@
 //!   not issued yet;
 //! * store-to-load forwarding and memory-ordering violation checks walk
 //!   compact program-ordered load/store queue mirrors instead of the ROB;
+//! * the ROB, the fetch buffer and the load/store queues are fixed-capacity
+//!   power-of-two rings addressed by absolute position (sequence numbers,
+//!   for the ROB), so a lookup is a mask and a bounds compare, and rename
+//!   records each load's or store's queue position in its ROB entry;
 //! * ROB entries are split hot/cold: a compact 80-byte scheduling record
-//!   per entry, with the `DynInst`/`Renamed` payloads in a parallel deque and
-//!   the dynamic instruction stream stored once in a sequence-indexed ring;
+//!   per entry, carrying the port class, latency and address-generation
+//!   penalty fixed at rename, with the destination bookkeeping in a
+//!   parallel array and the dynamic instruction stream stored once in a
+//!   sequence-indexed ring;
 //! * every scratch structure is reused with retained capacity, so after
 //!   warm-up the hot loop performs no heap allocation (verified by the
 //!   `reno-alloctrack` counting-allocator test).
@@ -89,6 +95,7 @@
 
 mod config;
 mod pipeline;
+mod ring;
 mod stats;
 
 pub use config::MachineConfig;

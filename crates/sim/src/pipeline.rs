@@ -1,3 +1,4 @@
+use crate::ring::SeqRing;
 use crate::stats::SampleMark;
 use crate::{MachineConfig, SimResult, SimStats};
 use reno_core::Reno;
@@ -35,18 +36,32 @@ const SEL_WHEEL: usize = 512;
 /// Absent register sentinel in the packed [`Slot`] fields.
 const NONE32: u32 = u32::MAX;
 
-// `Slot::flags` bits.
-const F_IN_IQ: u16 = 1 << 0;
-const F_ISSUED: u16 = 1 << 1;
-const F_EXEC_DONE: u16 = 1 << 2;
-const F_COMPLETED: u16 = 1 << 3;
-const F_ADDR_KNOWN: u16 = 1 << 4;
-const F_MISPRED: u16 = 1 << 5;
-const F_REEXEC_DONE: u16 = 1 << 6;
-const F_NEEDS_REEXEC: u16 = 1 << 7;
-const F_IN_LQ: u16 = 1 << 8;
-const F_IN_SQ: u16 = 1 << 9;
-const F_ELIMINATED: u16 = 1 << 10;
+// `Slot::flags` state bits.
+const F_IN_IQ: u32 = 1 << 0;
+const F_ISSUED: u32 = 1 << 1;
+const F_EXEC_DONE: u32 = 1 << 2;
+const F_COMPLETED: u32 = 1 << 3;
+const F_ADDR_KNOWN: u32 = 1 << 4;
+const F_MISPRED: u32 = 1 << 5;
+const F_REEXEC_DONE: u32 = 1 << 6;
+const F_NEEDS_REEXEC: u32 = 1 << 7;
+const F_IN_LQ: u32 = 1 << 8;
+const F_IN_SQ: u32 = 1 << 9;
+const F_ELIMINATED: u32 = 1 << 10;
+
+// `Slot::flags` facts fixed at rename, so select, issue and execute never
+// re-derive them from the opcode.
+/// Bits 11–12: the issue port class, an index into select's port budgets.
+const PORT_SHIFT: u32 = 11;
+const PORT_ALU: usize = 0;
+const PORT_LOAD: usize = 1;
+const PORT_STORE: usize = 2;
+/// Address generation pays the §3.3 fused cycle (a displaced base under
+/// [`MachineConfig::fused_extra_cycle`]).
+const F_AGEN_EXTRA: u32 = 1 << 13;
+/// Bits 16 and up: the execution latency of a non-load, including the
+/// §3.3 fusion cost.
+const LAT_SHIFT: u32 = 16;
 
 #[derive(Clone, Copy, Debug)]
 struct Fetched {
@@ -74,13 +89,14 @@ const NO_SRC: SrcP = SrcP {
 /// The *hot* per-ROB-entry state: everything the per-cycle scheduler loops
 /// (retire's completion peek, select's eligibility exam, execute's guards
 /// and latency model) need, packed into a compact 80-byte record (the full
-/// slot used to be ~200 bytes). The bulky [`DynInst`]/[`Renamed`] payloads
-/// live in the parallel [`SlotAux`] deque and are touched only at stage
-/// boundaries (rename, retire, squash, CPA).
+/// slot used to be ~200 bytes). The ROB ring addresses it by sequence
+/// number, so the record does not carry its own. The cold destination
+/// bookkeeping lives in the parallel `dsts` array and is touched only at
+/// stage boundaries (rename, retire, squash, re-execution), and the
+/// critical-path facts in [`CpaFacts`] only when CPA is on.
 #[repr(C)]
 #[derive(Clone, Copy, Debug)]
 struct Slot {
-    seq: u64,
     complete: u64,
     exec_start: u64,
     min_select: u64,
@@ -88,6 +104,9 @@ struct Slot {
     /// `u64::MAX` = none.
     ss_dep: u64,
     mem_addr: u64,
+    /// Position of this load's LQ entry or this store's SQ entry (see
+    /// [`F_IN_LQ`] / [`F_IN_SQ`]), recorded at rename.
+    lsq_pos: u64,
     srcs: [SrcP; 2],
     /// Wakeup target: the physical destination of an *issued* instruction
     /// ([`NONE32`] for eliminated instructions and for no destination).
@@ -96,24 +115,44 @@ struct Slot {
     /// instruction has no destination): dereferenced at retirement without
     /// touching the cold payload.
     old_preg: u32,
-    flags: u16,
+    flags: u32,
     op: Opcode,
 }
 
 impl Slot {
     #[inline]
-    fn has(&self, f: u16) -> bool {
+    fn has(&self, f: u32) -> bool {
         self.flags & f != 0
     }
 
     #[inline]
-    fn set(&mut self, f: u16) {
+    fn set(&mut self, f: u32) {
         self.flags |= f;
     }
 
     #[inline]
-    fn clear(&mut self, f: u16) {
+    fn clear(&mut self, f: u32) {
         self.flags &= !f;
+    }
+
+    /// The issue port class ([`PORT_ALU`], [`PORT_LOAD`], [`PORT_STORE`]).
+    #[inline]
+    fn port(&self) -> usize {
+        ((self.flags >> PORT_SHIFT) & 3) as usize
+    }
+
+    /// Execution latency of a non-load (see [`exec_latency`]).
+    #[inline]
+    fn latency(&self) -> u64 {
+        u64::from(self.flags >> LAT_SHIFT)
+    }
+
+    /// Extra address-generation latency of a load or store: normally zero
+    /// (3-input AGU adders / sum-addressed caches); the §3.3 ablation
+    /// charges one cycle for every fused operation.
+    #[inline]
+    fn agen_penalty(&self) -> u64 {
+        u64::from(self.has(F_AGEN_EXTRA))
     }
 
     /// The memory range `[addr, addr+width)` this load/store touches.
@@ -138,32 +177,53 @@ struct PregState {
     producer: u64,
 }
 
-/// The cold half of a ROB entry (see [`Slot`]; the [`DynInst`] itself
-/// lives in the sequence-indexed `dyn_ring`). Of the whole [`Renamed`]
-/// record only the destination bookkeeping is live after dispatch
-/// (rollback at squash, shared-mapping lookup at re-execution, CPA), so
-/// only that is kept — the aux entry stays a small `Copy` struct.
+/// What critical-path analysis needs of a ROB entry beyond its [`Slot`],
+/// kept (parallel to the ROB) only when [`MachineConfig::collect_cpa`] is
+/// set.
 #[derive(Clone, Copy, Debug)]
-struct SlotAux {
-    dst: Option<reno_core::DstInfo>,
+struct CpaFacts {
     rename_cycle: u64,
     served: Option<ServedBy>,
-    /// Producer of the last-arriving source (for critical-path analysis).
+    /// Producer of the last-arriving source.
     dep_seq: Option<u64>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PortClass {
-    Alu,
-    Load,
-    Store,
+fn port_class(op: Opcode) -> usize {
+    match op.class() {
+        OpClass::Load => PORT_LOAD,
+        OpClass::Store => PORT_STORE,
+        _ => PORT_ALU,
+    }
 }
 
-fn port_class(op: Opcode) -> PortClass {
-    match op.class() {
-        OpClass::Load => PortClass::Load,
-        OpClass::Store => PortClass::Store,
-        _ => PortClass::Alu,
+/// Execution latency of a non-load instruction, including the §3.3 fusion
+/// cost model for displaced inputs (`d0`, `d1`).
+fn exec_latency(op: Opcode, d0: i32, d1: i32, fused_extra_cycle: bool) -> u64 {
+    let base = match op.class() {
+        OpClass::Mul => 3,
+        _ => 1,
+    };
+    let fused = d0 != 0 || d1 != 0;
+    if !fused {
+        return base;
+    }
+    if fused_extra_cycle {
+        return base + 1;
+    }
+    // Zero-cycle fusion via 3-input adders for additions, address
+    // generation, branch compares and store data. Fusions into general
+    // shifts and multiplies, and register-register operations with BOTH
+    // inputs displaced, pay one cycle (paper §3.3).
+    let shifty = matches!(
+        op,
+        Opcode::Sll | Opcode::Srl | Opcode::Sra | Opcode::Slli | Opcode::Srli | Opcode::Srai
+    );
+    let mul = op.class() == OpClass::Mul;
+    let both = d0 != 0 && d1 != 0 && op.class() == OpClass::AluRR;
+    if shifty || mul || both {
+        base + 1
+    } else {
+        base
     }
 }
 
@@ -188,17 +248,17 @@ struct LsqEntry {
     done: bool,
 }
 
-/// Binary search over a program-ordered [`VecDeque`] of [`LsqEntry`]:
-/// index of the first entry with `seq >= bound`.
-fn lsq_lower_bound(q: &VecDeque<LsqEntry>, bound: u64) -> usize {
-    q.binary_search_by(|e| {
-        if e.seq < bound {
-            std::cmp::Ordering::Less
-        } else {
-            std::cmp::Ordering::Greater
-        }
-    })
-    .unwrap_err()
+const EMPTY_LSQ: LsqEntry = LsqEntry {
+    seq: u64::MAX,
+    addr: 0,
+    width: 0,
+    done: false,
+};
+
+/// Binary search over a program-ordered load or store queue: position of
+/// the first entry with `seq >= bound`.
+fn lsq_lower_bound(q: &SeqRing<LsqEntry>, bound: u64) -> u64 {
+    q.partition_point(|e| e.seq < bound)
 }
 
 /// A small sorted set of sequence numbers (allocation-free in steady state;
@@ -296,7 +356,6 @@ pub struct Simulator<'p> {
     reference: bool,
     oracle: Oracle<'p>,
     oracle_done: bool,
-    replay: VecDeque<u64>,
     /// The dynamic instruction stream's in-flight window, indexed by
     /// `seq & dyn_mask`: each [`DynInst`] is written once (at first fetch)
     /// and read by every later stage, including squash replays — the ring
@@ -309,32 +368,48 @@ pub struct Simulator<'p> {
     /// the instruction's shape per dynamic instance.
     class_ring: Vec<RenameClass>,
     dyn_mask: u64,
-    /// Block-batched feed cursor: `[feed_head, feed_tail)` are sequence
-    /// numbers already prefilled into the rings by `Oracle::refill` but not
-    /// yet handed to fetch. Unused (head == tail) on the reference feed.
-    feed_head: u64,
+    /// The sequence number fetch takes next. Sequence numbers move through
+    /// the pipeline as one contiguous run: the ROB holds
+    /// `[rob.head(), rob.tail())`, the fetch buffer continues it up to
+    /// `fetch_next`, and a squash moves `fetch_next` back to the first
+    /// squashed instruction.
+    fetch_next: u64,
+    /// The first sequence number never fetched: `[fetch_next, fresh)` is
+    /// the squash-replay queue.
+    fresh: u64,
+    /// End of the block-batched feed's prefill: `[fresh, feed_tail)` are
+    /// already in the rings (written by `Oracle::refill`) but not yet
+    /// fetched. Equal to `fresh` on the reference feed.
     feed_tail: u64,
 
     frontend: FrontEnd,
-    fetch_buf: VecDeque<Fetched>,
+    fetch_buf: SeqRing<Fetched>,
     fetch_stalled_until: u64,
     waiting_branch: Option<u64>,
     halt_seen: bool,
 
     reno: Reno,
-    /// Hot scheduling state, one compact entry per ROB slot.
-    rob: VecDeque<Slot>,
-    /// Cold payloads, index-aligned with `rob`.
-    aux: VecDeque<SlotAux>,
+    /// Hot scheduling state, one compact entry per ROB slot, addressed by
+    /// sequence number: the ROB always holds a contiguous run of them, so
+    /// `rob.head()` is the oldest in-flight instruction.
+    rob: SeqRing<Slot>,
+    /// The cold half of each ROB entry, parallel to `rob` (indexed by
+    /// `rob.slot(seq)`): of the whole [`reno_core::Renamed`] record only the
+    /// destination bookkeeping is live after dispatch (rollback at squash,
+    /// shared-mapping lookup at re-execution, CPA). The [`DynInst`] itself
+    /// lives in `dyn_ring`.
+    dsts: Vec<Option<reno_core::DstInfo>>,
+    /// Critical-path facts, parallel to `rob`; empty unless
+    /// [`MachineConfig::collect_cpa`] is set.
+    cpa_facts: Vec<CpaFacts>,
     iq_count: usize,
-    lq_count: usize,
-    sq_count: usize,
 
     /// Program-ordered load queue (ROB-resident, non-eliminated loads).
-    lq: VecDeque<LsqEntry>,
+    lq: SeqRing<LsqEntry>,
     /// Program-ordered store queue (ROB-resident stores; the committed half
-    /// lives in `store_drain`).
-    sq: VecDeque<LsqEntry>,
+    /// lives in `store_drain`, and the two together hold the `sq_size`
+    /// entries).
+    sq: SeqRing<LsqEntry>,
     /// Integrated loads awaiting pre-retirement re-execution, in program
     /// order (replaces a whole-ROB scan per cycle).
     reexec_queue: VecDeque<u64>,
@@ -479,6 +554,25 @@ impl<'p> Simulator<'p> {
             Reg::ZERO,
             0,
         ));
+        // The ROB's positions are sequence numbers, starting at the first
+        // instruction this simulator fetches.
+        let rob = SeqRing::new(
+            cfg.rob_size,
+            Slot {
+                complete: 0,
+                exec_start: u64::MAX,
+                min_select: 0,
+                ss_dep: u64::MAX,
+                mem_addr: 0,
+                lsq_pos: 0,
+                srcs: [NO_SRC; 2],
+                dst_preg: NONE32,
+                old_preg: NONE32,
+                flags: 0,
+                op: Opcode::Halt,
+            },
+            start_seq,
+        );
         // A cold machine builds these at their fields, interleaved with its
         // other allocations.
         let (frontend, mem, storesets) = match warm {
@@ -493,7 +587,6 @@ impl<'p> Simulator<'p> {
             storesets: storesets.unwrap_or_else(|| StoreSets::new(cfg.storesets)),
             oracle: Oracle::from_cpu(cpu, program, fuel),
             oracle_done: false,
-            replay: VecDeque::new(),
             dyn_ring: vec![
                 DynInst {
                     seq: u64::MAX,
@@ -508,19 +601,39 @@ impl<'p> Simulator<'p> {
             ],
             class_ring: vec![nop_class; dyn_ring_size],
             dyn_mask: dyn_ring_size as u64 - 1,
-            feed_head: start_seq,
+            fetch_next: start_seq,
+            fresh: start_seq,
             feed_tail: start_seq,
-            fetch_buf: VecDeque::with_capacity(cfg.fetch_width * 4 + 1),
+            fetch_buf: SeqRing::new(
+                cfg.fetch_width * 5,
+                Fetched {
+                    seq: u64::MAX,
+                    rename_ready: 0,
+                    mispredicted: false,
+                    from_replay: false,
+                },
+                0,
+            ),
             fetch_stalled_until: 0,
             waiting_branch: None,
             halt_seen: false,
-            rob: VecDeque::with_capacity(cfg.rob_size),
-            aux: VecDeque::with_capacity(cfg.rob_size),
+            dsts: vec![None; rob.capacity()],
+            cpa_facts: if cfg.collect_cpa {
+                vec![
+                    CpaFacts {
+                        rename_cycle: 0,
+                        served: None,
+                        dep_seq: None,
+                    };
+                    rob.capacity()
+                ]
+            } else {
+                Vec::new()
+            },
+            rob,
             iq_count: 0,
-            lq_count: 0,
-            sq_count: 0,
-            lq: VecDeque::with_capacity(cfg.lq_size),
-            sq: VecDeque::with_capacity(cfg.sq_size),
+            lq: SeqRing::new(cfg.lq_size, EMPTY_LSQ, 0),
+            sq: SeqRing::new(cfg.sq_size, EMPTY_LSQ, 0),
             reexec_queue: VecDeque::new(),
             pregs,
             exec_wheel: std::array::from_fn(|_| Vec::with_capacity(cfg.issue_width)),
@@ -715,7 +828,7 @@ impl<'p> Simulator<'p> {
             || (self.oracle_done
                 && self.rob.is_empty()
                 && self.fetch_buf.is_empty()
-                && self.replay.is_empty())
+                && self.fetch_next == self.fresh)
     }
 
     /// Pre-retirement re-execution of integrated loads (paper §2.2): each
@@ -730,28 +843,28 @@ impl<'p> Simulator<'p> {
             let Some(&seq) = self.reexec_queue.front() else {
                 break;
             };
-            let idx = self
-                .rob_index_of_seq(seq)
-                .expect("re-exec candidates are ROB-resident");
+            debug_assert!(
+                self.rob.contains(seq),
+                "re-exec candidates are ROB-resident"
+            );
             // The shared register's value must have been produced already.
-            let m = self.aux[idx]
-                .dst
+            let m = self.dsts[self.rob.slot(seq)]
                 .expect("integrated load has a mapping")
                 .new;
             if self.pregs[m.preg.index()].complete > self.cycle {
                 break; // oldest pending re-exec still waits for its producer
             }
             self.port_budget -= 1;
-            let mem_addr = self.rob[idx].mem_addr;
+            let mem_addr = self.rob[seq].mem_addr;
             let expected = self.pregs[m.preg.index()].val.wrapping_add(m.disp as i64);
             if expected != self.dyn_of(seq).dst_val {
                 self.stats.misintegrations += 1;
                 self.suppress_integration.insert(seq);
-                self.squash_from(idx, self.cycle + 1, SquashCause::Misintegration);
+                self.squash_from(seq, self.cycle + 1, SquashCause::Misintegration);
                 continue;
             }
             self.stats.reexec_loads += 1;
-            self.rob[idx].set(F_REEXEC_DONE);
+            self.rob[seq].set(F_REEXEC_DONE);
             self.reexec_queue.pop_front();
             // The re-execution touches the cache like a normal access.
             self.mem.access_data(mem_addr, self.cycle, false);
@@ -766,7 +879,6 @@ impl<'p> Simulator<'p> {
                 break;
             };
             self.mem.access_data(addr, self.cycle, true);
-            self.sq_count -= 1;
             self.port_budget -= 1;
         }
     }
@@ -810,84 +922,38 @@ impl<'p> Simulator<'p> {
         &self.dyn_ring[(seq & self.dyn_mask) as usize]
     }
 
-    fn rob_index_of_seq(&self, seq: u64) -> Option<usize> {
-        let front = self.rob.front()?.seq;
-        seq.checked_sub(front)
-            .map(|i| i as usize)
-            .filter(|&i| i < self.rob.len())
-    }
-
-    /// Execution latency of a non-load instruction, including the §3.3
-    /// fusion cost model for displaced inputs.
-    fn exec_latency(&self, s: &Slot) -> u64 {
-        let op = s.op;
-        let base = match op.class() {
-            OpClass::Mul => 3,
-            _ => 1,
-        };
-        let d0 = s.srcs[0].disp;
-        let d1 = s.srcs[1].disp;
-        let fused = d0 != 0 || d1 != 0;
-        if !fused {
-            return base;
-        }
-        if self.cfg.fused_extra_cycle {
-            return base + 1;
-        }
-        // Zero-cycle fusion via 3-input adders for additions, address
-        // generation, branch compares and store data. Fusions into general
-        // shifts and multiplies, and register-register operations with BOTH
-        // inputs displaced, pay one cycle (paper §3.3).
-        let shifty = matches!(
-            op,
-            Opcode::Sll | Opcode::Srl | Opcode::Sra | Opcode::Slli | Opcode::Srli | Opcode::Srai
-        );
-        let mul = op.class() == OpClass::Mul;
-        let both = d0 != 0 && d1 != 0 && op.class() == OpClass::AluRR;
-        if shifty || mul || both {
-            base + 1
-        } else {
-            base
-        }
-    }
-
     fn consumer_ready_from_complete(&self, complete: u64) -> u64 {
         complete + 1 - EXE_OFFSET + (self.cfg.sched_loop - 1)
     }
 
-    /// Extra address-generation latency for loads/stores with a displaced
-    /// base. Normally zero (3-input AGU adders / sum-addressed caches); the
-    /// §3.3 ablation charges one cycle for every fused operation.
-    fn agen_fuse_penalty(&self, s: &Slot) -> u64 {
-        let fused = s.srcs[0].disp != 0 || s.srcs[1].disp != 0;
-        u64::from(fused && self.cfg.fused_extra_cycle)
+    /// Occupied store-queue entries: the ROB-resident stores plus the
+    /// committed ones still draining to the D$.
+    fn sq_occupancy(&self) -> usize {
+        self.sq.len() + self.store_drain.len()
     }
 
-    fn squash_from(&mut self, rob_idx: usize, refetch_at: u64, cause: SquashCause) {
-        let first_seq = self.rob[rob_idx].seq;
-        // Fetch-buffered instructions replay *after* the squashed ROB slots:
-        // push them first, back to front, so the ROB slots land in front of
-        // them at the head of the replay queue.
-        while let Some(f) = self.fetch_buf.pop_back() {
-            self.replay.push_front(f.seq);
-        }
+    /// Squashes the ROB-resident instruction `first_seq` and everything
+    /// younger.
+    fn squash_from(&mut self, first_seq: u64, refetch_at: u64, cause: SquashCause) {
+        // Everything from `first_seq` on re-enters fetch as a replay: the
+        // squashed ROB slots, then the fetch buffer, then any older replays.
+        self.fetch_buf.clear();
+        self.fetch_next = first_seq;
         while matches!(self.reexec_queue.back(), Some(&s) if s >= first_seq) {
             self.reexec_queue.pop_back();
         }
-        while self.rob.len() > rob_idx {
-            let slot = self.rob.pop_back().expect("len checked");
-            let aux = self.aux.pop_back().expect("aux is index-aligned");
-            self.reno.rollback_dst(aux.dst.as_ref());
-            self.replay.push_front(slot.seq);
+        while self.rob.tail() > first_seq {
+            let seq = self.rob.tail() - 1;
+            let slot = self.rob.pop_back().expect("tail above first_seq");
+            self.reno
+                .rollback_dst(self.dsts[self.rob.slot(seq)].as_ref());
             if slot.has(F_IN_IQ) {
                 self.iq_count -= 1;
             }
             if slot.has(F_IN_LQ) {
-                self.lq_count -= 1;
                 self.lq.pop_back();
             }
             if slot.has(F_IN_SQ) {
-                self.sq_count -= 1;
                 self.sq.pop_back();
             }
             // Kill stale wakeup state for the squashed destination.
@@ -898,7 +964,7 @@ impl<'p> Simulator<'p> {
             }
             self.stats.squashed += 1;
             if let Some(t) = &mut self.trace {
-                t.push(self.cycle, slot.seq, EventKind::Squash { cause });
+                t.push(self.cycle, seq, EventKind::Squash { cause });
             }
         }
         self.storesets.squash_from(first_seq);
@@ -918,7 +984,7 @@ impl<'p> Simulator<'p> {
             if !head.has(F_COMPLETED) || head.complete + COMPLETE_TO_RETIRE > self.cycle {
                 break;
             }
-            let is_store = head.op.is_store();
+            let is_store = head.port() == PORT_STORE;
 
             if head.has(F_NEEDS_REEXEC) {
                 // Integrated loads retire only after their pre-retirement
@@ -933,29 +999,27 @@ impl<'p> Simulator<'p> {
                 self.store_drain.push_back(head.mem_addr);
             }
 
+            let seq = self.rob.head();
             let head = self.rob.pop_front().expect("nonempty");
             if let Some(t) = &mut self.trace {
-                t.push(self.cycle, head.seq, EventKind::Retire);
+                t.push(self.cycle, seq, EventKind::Retire);
             }
             if head.old_preg != NONE32 {
                 self.reno
                     .retire_old(reno_core::PhysReg(head.old_preg as u16));
             }
             if head.has(F_IN_LQ) {
-                self.lq_count -= 1;
                 self.lq.pop_front();
             }
             if head.has(F_IN_SQ) {
-                // The scan-side SQ entry leaves with the ROB slot; the
-                // occupancy count (`sq_count`) is released at drain time.
+                // The scan-side SQ entry leaves with the ROB slot; its
+                // occupancy moves to `store_drain` until the D$ write.
                 self.sq.pop_front();
             }
 
             if self.cfg.collect_cpa {
-                let aux = *self.aux.front().expect("aux is index-aligned");
-                self.record_cpa(&head, &aux);
+                self.record_cpa(seq, &head);
             }
-            self.aux.pop_front();
 
             self.retired += 1;
             n += 1;
@@ -966,10 +1030,14 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    fn record_cpa(&mut self, s: &Slot, aux: &SlotAux) {
-        let dispatch = aux.rename_cycle + RENAME_TO_DISPATCH;
+    fn record_cpa(&mut self, seq: u64, s: &Slot) {
+        let i = self.rob.slot(seq);
+        let facts = self.cpa_facts[i];
+        let dispatch = facts.rename_cycle + RENAME_TO_DISPATCH;
         let (complete, dep, bucket) = if s.has(F_ELIMINATED) {
-            let m = aux.dst.expect("eliminated instructions have mappings").new;
+            let m = self.dsts[i]
+                .expect("eliminated instructions have mappings")
+                .new;
             let pc = self.pregs[m.preg.index()].complete;
             let complete = if pc == u64::MAX {
                 dispatch
@@ -982,15 +1050,15 @@ impl<'p> Simulator<'p> {
                 Bucket::AluExec,
             )
         } else {
-            let bucket = match aux.served {
+            let bucket = match facts.served {
                 Some(ServedBy::Mem) => Bucket::LoadMem,
                 Some(_) => Bucket::LoadExec,
                 None => Bucket::AluExec,
             };
-            (s.complete.max(dispatch), aux.dep_seq, bucket)
+            (s.complete.max(dispatch), facts.dep_seq, bucket)
         };
         self.cpa.push(InstRecord {
-            seq: s.seq,
+            seq,
             dispatch,
             complete,
             commit: self.cycle,
@@ -1013,14 +1081,13 @@ impl<'p> Simulator<'p> {
         }
         let mut bucket = std::mem::take(&mut self.exec_wheel[b]);
         for &seq in &bucket {
-            let Some(idx) = self.rob_index_of_seq(seq) else {
+            let Some(s) = self.rob.get(seq) else {
                 continue; // squashed since selection
             };
-            let s = &self.rob[idx];
             if !s.has(F_ISSUED) || s.has(F_EXEC_DONE) || s.exec_start != self.cycle {
                 continue; // replayed, or a stale event for a re-renamed seq
             }
-            self.execute_one(idx);
+            self.execute_one(seq);
         }
         bucket.clear();
         self.exec_wheel[b] = bucket;
@@ -1030,29 +1097,49 @@ impl<'p> Simulator<'p> {
     /// [`Simulator::with_reference_paths`]) as the differential-testing
     /// baseline for the event-driven scheduler.
     fn naive_execute_stage(&mut self) {
-        // Gather this cycle's executers in program order; look them up by
-        // sequence number because a violation squash may shift indices.
-        let seqs: Vec<u64> = self
-            .rob
-            .iter()
-            .filter(|s| s.has(F_ISSUED) && !s.has(F_EXEC_DONE) && s.exec_start == self.cycle)
-            .map(|s| s.seq)
+        // Gather this cycle's executers in program order; check each again
+        // before executing it because a violation squash may remove it.
+        let seqs: Vec<u64> = (self.rob.head()..self.rob.tail())
+            .filter(|&seq| {
+                let s = &self.rob[seq];
+                s.has(F_ISSUED) && !s.has(F_EXEC_DONE) && s.exec_start == self.cycle
+            })
             .collect();
         for seq in seqs {
-            let Some(idx) = self.rob_index_of_seq(seq) else {
+            let Some(s) = self.rob.get(seq) else {
                 continue;
             };
-            if !self.rob[idx].has(F_ISSUED) || self.rob[idx].has(F_EXEC_DONE) {
+            if !s.has(F_ISSUED) || s.has(F_EXEC_DONE) {
                 continue; // replayed or squashed meanwhile
             }
-            self.execute_one(idx);
+            self.execute_one(seq);
         }
     }
 
-    fn execute_one(&mut self, idx: usize) {
-        let (exec_start, srcs, op, seq) = {
-            let s = &self.rob[idx];
-            (s.exec_start, s.srcs, s.op, s.seq)
+    /// Puts the issued instruction `seq` back into the issue queue (a
+    /// scheduler replay), selectable no earlier than `min_select`.
+    fn replay_issue(&mut self, seq: u64, min_select: u64) {
+        self.stats.replays += 1;
+        let slot = &mut self.rob[seq];
+        slot.clear(F_ISSUED);
+        slot.set(F_IN_IQ);
+        slot.min_select = min_select;
+        let dst = slot.dst_preg;
+        self.iq_count += 1;
+        if dst != NONE32 {
+            let pr = &mut self.pregs[dst as usize];
+            pr.ready_sel = u64::MAX;
+            pr.complete = u64::MAX;
+        }
+        if !self.reference {
+            self.file_iq(seq);
+        }
+    }
+
+    fn execute_one(&mut self, seq: u64) {
+        let (exec_start, srcs, port) = {
+            let s = &self.rob[seq];
+            (s.exec_start, s.srcs, s.port())
         };
 
         // Verify operand availability (load-hit speculation check): any
@@ -1070,22 +1157,7 @@ impl<'p> Simulator<'p> {
             worst_ready = worst_ready.max(pr.ready_sel);
         }
         if not_ready {
-            self.stats.replays += 1;
-            let min_sel = worst_ready.max(self.cycle + 1);
-            let slot = &mut self.rob[idx];
-            slot.clear(F_ISSUED);
-            slot.set(F_IN_IQ);
-            slot.min_select = min_sel;
-            let dst = slot.dst_preg;
-            self.iq_count += 1;
-            if dst != NONE32 {
-                let pr = &mut self.pregs[dst as usize];
-                pr.ready_sel = u64::MAX;
-                pr.complete = u64::MAX;
-            }
-            if !self.reference {
-                self.file_iq(seq);
-            }
+            self.replay_issue(seq, worst_ready.max(self.cycle + 1));
             return;
         }
 
@@ -1096,16 +1168,15 @@ impl<'p> Simulator<'p> {
                 .filter(|src| src.preg != NONE32)
                 .max_by_key(|src| self.pregs[src.preg as usize].complete)
                 .map(|src| self.pregs[src.preg as usize].producer);
-            self.aux[idx].dep_seq = dep_seq;
+            self.cpa_facts[self.rob.slot(seq)].dep_seq = dep_seq;
         }
 
-        match op.class() {
-            OpClass::Load => self.execute_load(idx),
-            OpClass::Store => self.execute_store(idx),
+        match port {
+            PORT_LOAD => self.execute_load(seq),
+            PORT_STORE => self.execute_store(seq),
             _ => {
-                let lat = self.exec_latency(&self.rob[idx]);
-                let complete = exec_start + lat - 1;
-                let slot = &mut self.rob[idx];
+                let slot = &mut self.rob[seq];
+                let complete = exec_start + slot.latency() - 1;
                 slot.complete = complete;
                 slot.set(F_COMPLETED | F_EXEC_DONE);
                 let mispred = slot.has(F_MISPRED);
@@ -1124,12 +1195,12 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// Store-to-load forwarding candidate for the load at `idx`: the
-    /// youngest older store with a known, overlapping address. Returns the
-    /// store's ROB index and whether it fully covers the load.
-    fn find_forward(&self, idx: usize, lrange: (u64, u64)) -> Option<(usize, bool)> {
+    /// Store-to-load forwarding candidate for the load `lseq`: the youngest
+    /// older store with a known, overlapping address. Returns the store's
+    /// sequence number and whether it fully covers the load.
+    fn find_forward(&self, lseq: u64, lrange: (u64, u64)) -> Option<(u64, bool)> {
         if self.reference {
-            for j in (0..idx).rev() {
+            for j in (self.rob.head()..lseq).rev() {
                 let st = &self.rob[j];
                 if st.op.is_store() && st.has(F_ADDR_KNOWN) {
                     let srange = st.mem_range();
@@ -1141,26 +1212,23 @@ impl<'p> Simulator<'p> {
             return None;
         }
         // Indexed path: walk only the (program-ordered) store queue.
-        let lseq = self.rob[idx].seq;
         let end = lsq_lower_bound(&self.sq, lseq);
-        for k in (0..end).rev() {
+        for k in (self.sq.head()..end).rev() {
             let e = self.sq[k];
             if e.done && ranges_overlap((e.addr, e.width), lrange) {
-                let j = self
-                    .rob_index_of_seq(e.seq)
-                    .expect("SQ entries are ROB-resident");
-                return Some((j, covers((e.addr, e.width), lrange)));
+                debug_assert!(self.rob.contains(e.seq), "SQ entries are ROB-resident");
+                return Some((e.seq, covers((e.addr, e.width), lrange)));
             }
         }
         None
     }
 
-    /// Memory-ordering violation candidate for the store at `idx`: the
-    /// oldest younger load that already executed with an overlapping
-    /// address and was not satisfied by an intervening store.
-    fn find_violation(&self, idx: usize, srange: (u64, u64)) -> Option<usize> {
+    /// Memory-ordering violation candidate for the store `sseq`: the oldest
+    /// younger load that already executed with an overlapping address and
+    /// was not satisfied by an intervening store.
+    fn find_violation(&self, sseq: u64, srange: (u64, u64)) -> Option<u64> {
         if self.reference {
-            'outer: for j in idx + 1..self.rob.len() {
+            'outer: for j in sseq + 1..self.rob.tail() {
                 let ld = &self.rob[j];
                 if !ld.op.is_load() || !ld.has(F_EXEC_DONE) || ld.has(F_ELIMINATED) {
                     continue;
@@ -1171,7 +1239,7 @@ impl<'p> Simulator<'p> {
                 }
                 // Did an even younger (but still older-than-load) store
                 // satisfy it?
-                for k in (idx + 1..j).rev() {
+                for k in (sseq + 1..j).rev() {
                     let mid = &self.rob[k];
                     if mid.op.is_store()
                         && mid.has(F_ADDR_KNOWN)
@@ -1186,9 +1254,8 @@ impl<'p> Simulator<'p> {
         }
         // Indexed path: younger executed loads from the LQ, intervening
         // stores from the SQ.
-        let sseq = self.rob[idx].seq;
         let lstart = lsq_lower_bound(&self.lq, sseq + 1);
-        'outer2: for k in lstart..self.lq.len() {
+        'outer2: for k in lstart..self.lq.tail() {
             let le = self.lq[k];
             if !le.done || !ranges_overlap(srange, (le.addr, le.width)) {
                 continue;
@@ -1202,37 +1269,27 @@ impl<'p> Simulator<'p> {
                     continue 'outer2;
                 }
             }
-            return Some(
-                self.rob_index_of_seq(le.seq)
-                    .expect("LQ entries are ROB-resident"),
-            );
+            debug_assert!(self.rob.contains(le.seq), "LQ entries are ROB-resident");
+            return Some(le.seq);
         }
         None
     }
 
-    /// Marks the LSQ mirror of `seq` done (store address generated / load
-    /// executed).
-    fn lsq_mark_done(q: &mut VecDeque<LsqEntry>, seq: u64) {
-        let i = lsq_lower_bound(q, seq);
-        debug_assert!(i < q.len() && q[i].seq == seq, "LSQ entry exists");
-        q[i].done = true;
-    }
-
-    fn execute_load(&mut self, idx: usize) {
-        let (exec_start, seq, mem_addr, lrange, agen_pen) = {
-            let s = &self.rob[idx];
+    fn execute_load(&mut self, seq: u64) {
+        let (exec_start, mem_addr, lrange, agen_pen, lq_pos) = {
+            let s = &self.rob[seq];
             (
                 s.exec_start,
-                s.seq,
                 s.mem_addr,
                 s.mem_range(),
-                self.agen_fuse_penalty(s),
+                s.agen_penalty(),
+                s.lsq_pos,
             )
         };
 
         // Store-to-load forwarding: youngest older store with a known,
         // overlapping address.
-        let forward = self.find_forward(idx, lrange);
+        let forward = self.find_forward(seq, lrange);
 
         let hit_complete = exec_start + agen_pen + self.cfg.hier.l1d.hit_latency;
         let (complete, served) = match forward {
@@ -1249,21 +1306,7 @@ impl<'p> Simulator<'p> {
                     self.cycle + 8
                 };
                 let retry = st_complete + COMPLETE_TO_RETIRE + 1;
-                let slot = &mut self.rob[idx];
-                slot.clear(F_ISSUED);
-                slot.set(F_IN_IQ);
-                slot.min_select = retry.max(self.cycle + 1);
-                let dst = slot.dst_preg;
-                self.iq_count += 1;
-                if dst != NONE32 {
-                    let pr = &mut self.pregs[dst as usize];
-                    pr.ready_sel = u64::MAX;
-                    pr.complete = u64::MAX;
-                }
-                self.stats.replays += 1;
-                if !self.reference {
-                    self.file_iq(seq);
-                }
+                self.replay_issue(seq, retry.max(self.cycle + 1));
                 return;
             }
             None => {
@@ -1272,7 +1315,7 @@ impl<'p> Simulator<'p> {
             }
         };
 
-        let slot = &mut self.rob[idx];
+        let slot = &mut self.rob[seq];
         slot.complete = complete;
         slot.set(F_COMPLETED | F_EXEC_DONE | F_ADDR_KNOWN);
         let dst = slot.dst_preg;
@@ -1280,7 +1323,7 @@ impl<'p> Simulator<'p> {
             t.push(complete, seq, EventKind::Complete);
         }
         if self.cfg.collect_cpa {
-            self.aux[idx].served = Some(served);
+            self.cpa_facts[self.rob.slot(seq)].served = Some(served);
         }
         if dst != NONE32 {
             let ready = self.consumer_ready_from_complete(complete);
@@ -1293,34 +1336,33 @@ impl<'p> Simulator<'p> {
             pr.complete = complete;
             pr.ready_sel = ready;
         }
-        Self::lsq_mark_done(&mut self.lq, seq);
+        debug_assert_eq!(self.lq[lq_pos].seq, seq, "rename recorded the LQ entry");
+        self.lq[lq_pos].done = true;
     }
 
-    fn execute_store(&mut self, idx: usize) {
-        let (seq, srange, complete) = {
-            let s = &self.rob[idx];
-            let agen_pen = self.agen_fuse_penalty(s);
-            let complete = s.exec_start + agen_pen;
-            let (seq, srange) = (s.seq, s.mem_range());
-            let slot = &mut self.rob[idx];
+    fn execute_store(&mut self, seq: u64) {
+        let (srange, complete, sq_pos) = {
+            let slot = &mut self.rob[seq];
+            let complete = slot.exec_start + slot.agen_penalty();
             slot.complete = complete;
             slot.set(F_COMPLETED | F_EXEC_DONE | F_ADDR_KNOWN);
-            (seq, srange, complete)
+            (slot.mem_range(), complete, slot.lsq_pos)
         };
         if let Some(t) = &mut self.trace {
             t.push(complete, seq, EventKind::Complete);
         }
         let pc = self.dyn_of(seq).pc;
-        Self::lsq_mark_done(&mut self.sq, seq);
+        debug_assert_eq!(self.sq[sq_pos].seq, seq, "rename recorded the SQ entry");
+        self.sq[sq_pos].done = true;
         self.storesets.store_executed(pc as u64, seq);
 
         // Memory-ordering violation check: a younger load already executed
         // with an overlapping address, whose youngest older known store is
         // this one, read stale data.
-        if let Some(j) = self.find_violation(idx, srange) {
+        if let Some(j) = self.find_violation(seq, srange) {
             self.stats.violations += 1;
             self.storesets
-                .train_violation(self.dyn_of(self.rob[j].seq).pc as u64, pc as u64);
+                .train_violation(self.dyn_of(j).pc as u64, pc as u64);
             self.squash_from(j, self.cycle + 1, SquashCause::MemOrder);
         }
     }
@@ -1336,15 +1378,20 @@ impl<'p> Simulator<'p> {
     ///   far heap beyond the horizon);
     /// * otherwise it joins the ready list, examined by select this cycle.
     fn file_iq(&mut self, seq: u64) {
-        let Some(idx) = self.rob_index_of_seq(seq) else {
+        let Some(s) = self.rob.get(seq) else {
             return;
         };
-        let s = &self.rob[idx];
         if !s.has(F_IN_IQ) || s.has(F_ISSUED) {
             return;
         }
-        let mut wake = s.min_select;
-        for src in s.srcs {
+        self.file_waiting(seq, s.min_select, s.srcs);
+    }
+
+    /// [`Simulator::file_iq`] for an entry known to be waiting in the IQ,
+    /// given its earliest select cycle and renamed sources.
+    fn file_waiting(&mut self, seq: u64, min_select: u64, srcs: [SrcP; 2]) {
+        let mut wake = min_select;
+        for src in srcs {
             if src.preg == NONE32 {
                 continue;
             }
@@ -1378,10 +1425,16 @@ impl<'p> Simulator<'p> {
     /// Moves a matured sleeper straight into the ready list; the select exam
     /// performs the authoritative eligibility check (and re-parks or drops
     /// entries whose state moved since they were scheduled), so no slot
-    /// access is needed here.
+    /// access is needed here. Entries usually mature in program order, so
+    /// the common case appends.
     fn promote(&mut self, seq: u64) {
-        if let Err(pos) = self.iq_ready.binary_search(&seq) {
-            self.iq_ready.insert(pos, seq);
+        match self.iq_ready.last() {
+            Some(&last) if last >= seq => {
+                if let Err(pos) = self.iq_ready.binary_search(&seq) {
+                    self.iq_ready.insert(pos, seq);
+                }
+            }
+            _ => self.iq_ready.push(seq),
         }
     }
 
@@ -1425,9 +1478,7 @@ impl<'p> Simulator<'p> {
             return;
         }
         let mut total = self.cfg.issue_width;
-        let mut alu = self.cfg.alu_ports;
-        let mut load = self.cfg.load_ports;
-        let mut store = self.cfg.store_ports;
+        let mut ports = self.port_budgets();
 
         // Examine ready entries oldest-first. Entries stay in the list only
         // while they remain selectable-but-blocked (port or store-set
@@ -1439,10 +1490,9 @@ impl<'p> Simulator<'p> {
             let seq = ready[i];
             let mut keep = false;
             'exam: {
-                let Some(ridx) = self.rob_index_of_seq(seq) else {
+                let Some(s) = self.rob.get(seq) else {
                     break 'exam; // squashed
                 };
-                let s = &self.rob[ridx];
                 if !s.has(F_IN_IQ) || s.has(F_ISSUED) {
                     break 'exam;
                 }
@@ -1477,31 +1527,13 @@ impl<'p> Simulator<'p> {
                 if total == 0 {
                     break 'exam;
                 }
-                let pc_class = port_class(s.op);
-                let port_free = match pc_class {
-                    PortClass::Alu => alu > 0,
-                    PortClass::Load => load > 0,
-                    PortClass::Store => store > 0,
-                };
-                if !port_free {
+                let port = s.port();
+                if ports[port] == 0 || self.ss_blocked(s) {
                     break 'exam;
                 }
-                // Store-sets: a load predicted to conflict waits until the
-                // offending store's address is known.
-                if s.ss_dep != u64::MAX {
-                    if let Some(sidx) = self.rob_index_of_seq(s.ss_dep) {
-                        if !self.rob[sidx].has(F_ADDR_KNOWN) {
-                            break 'exam;
-                        }
-                    }
-                }
                 total -= 1;
-                match pc_class {
-                    PortClass::Alu => alu -= 1,
-                    PortClass::Load => load -= 1,
-                    PortClass::Store => store -= 1,
-                }
-                self.issue_at(ridx);
+                ports[port] -= 1;
+                self.issue_at(seq);
                 keep = false;
             }
             if keep {
@@ -1524,30 +1556,42 @@ impl<'p> Simulator<'p> {
         }
     }
 
+    /// Per-cycle issue ports, indexed by port class.
+    fn port_budgets(&self) -> [usize; 3] {
+        let mut ports = [0; 3];
+        ports[PORT_ALU] = self.cfg.alu_ports;
+        ports[PORT_LOAD] = self.cfg.load_ports;
+        ports[PORT_STORE] = self.cfg.store_ports;
+        ports
+    }
+
+    /// Store-sets: a load predicted to conflict waits until the offending
+    /// store's address is known.
+    fn ss_blocked(&self, s: &Slot) -> bool {
+        s.ss_dep != u64::MAX
+            && self
+                .rob
+                .get(s.ss_dep)
+                .is_some_and(|st| !st.has(F_ADDR_KNOWN))
+    }
+
     /// Reference implementation of select: scan the whole ROB oldest-first.
     /// Kept (behind [`Simulator::with_reference_paths`]) as the
     /// differential-testing baseline for the event-driven scheduler.
     fn naive_select_stage(&mut self) {
         let mut total = self.cfg.issue_width;
-        let mut alu = self.cfg.alu_ports;
-        let mut load = self.cfg.load_ports;
-        let mut store = self.cfg.store_ports;
+        let mut ports = self.port_budgets();
 
-        for i in 0..self.rob.len() {
+        for seq in self.rob.head()..self.rob.tail() {
             if total == 0 {
                 break;
             }
-            let s = &self.rob[i];
+            let s = &self.rob[seq];
             if !s.has(F_IN_IQ) || s.has(F_ISSUED) || s.min_select > self.cycle {
                 continue;
             }
-            let pc_class = port_class(s.op);
-            let port_free = match pc_class {
-                PortClass::Alu => alu > 0,
-                PortClass::Load => load > 0,
-                PortClass::Store => store > 0,
-            };
-            if !port_free {
+            let port = s.port();
+            if ports[port] == 0 {
                 continue;
             }
             // All register sources must have been woken.
@@ -1556,50 +1600,37 @@ impl<'p> Simulator<'p> {
                 .iter()
                 .filter(|src| src.preg != NONE32)
                 .all(|src| self.pregs[src.preg as usize].ready_sel <= self.cycle);
-            if !ready {
+            if !ready || self.ss_blocked(s) {
                 continue;
             }
-            // Store-sets: a load predicted to conflict waits until the
-            // offending store's address is known.
-            if s.ss_dep != u64::MAX {
-                if let Some(sidx) = self.rob_index_of_seq(s.ss_dep) {
-                    if !self.rob[sidx].has(F_ADDR_KNOWN) {
-                        continue;
-                    }
-                }
-            }
             total -= 1;
-            match pc_class {
-                PortClass::Alu => alu -= 1,
-                PortClass::Load => load -= 1,
-                PortClass::Store => store -= 1,
-            }
-            self.issue_at(i);
+            ports[port] -= 1;
+            self.issue_at(seq);
         }
     }
 
-    /// Issues the IQ entry at ROB index `i`: shared by both scheduler
-    /// implementations so the slot updates, the wakeup broadcast, and the
-    /// speculative load-hit promise stay identical between them.
-    fn issue_at(&mut self, i: usize) {
+    /// Issues the IQ entry `seq`: shared by both scheduler implementations
+    /// so the slot updates, the wakeup broadcast, and the speculative
+    /// load-hit promise stay identical between them.
+    fn issue_at(&mut self, seq: u64) {
         self.stats.issued += 1;
         if let Some(t) = &mut self.trace {
-            t.push(self.cycle, self.rob[i].seq, EventKind::Issue);
+            t.push(self.cycle, seq, EventKind::Issue);
         }
         let exec_start = self.cycle + EXE_OFFSET;
-        let (seq, dst, complete) = {
-            let agen_pen = self.agen_fuse_penalty(&self.rob[i]);
-            let lat = match self.rob[i].op.class() {
-                // Load: speculative hit wakeup.
-                OpClass::Load => agen_pen + self.cfg.hier.l1d.hit_latency + 1,
-                _ => self.exec_latency(&self.rob[i]),
-            };
-            let slot = &mut self.rob[i];
-            slot.set(F_ISSUED);
-            slot.clear(F_IN_IQ);
-            slot.exec_start = exec_start;
-            (slot.seq, slot.dst_preg, exec_start + lat - 1)
+        let hit_latency = self.cfg.hier.l1d.hit_latency;
+        let slot = &mut self.rob[seq];
+        let lat = if slot.port() == PORT_LOAD {
+            // Load: speculative hit wakeup.
+            slot.agen_penalty() + hit_latency + 1
+        } else {
+            slot.latency()
         };
+        slot.set(F_ISSUED);
+        slot.clear(F_IN_IQ);
+        slot.exec_start = exec_start;
+        let dst = slot.dst_preg;
+        let complete = exec_start + lat - 1;
         self.iq_count -= 1;
 
         if dst != NONE32 {
@@ -1666,8 +1697,8 @@ impl<'p> Simulator<'p> {
             let needs_lq = needs_iq && is_load;
             let needs_sq = is_store;
             if (needs_iq && self.iq_count >= self.cfg.iq_size)
-                || (needs_lq && self.lq_count >= self.cfg.lq_size)
-                || (needs_sq && self.sq_count >= self.cfg.sq_size)
+                || (needs_lq && self.lq.len() >= self.cfg.lq_size)
+                || (needs_sq && self.sq_occupancy() >= self.cfg.sq_size)
             {
                 // Structural hazard discovered post-rename: undo and retry
                 // next cycle.
@@ -1709,29 +1740,19 @@ impl<'p> Simulator<'p> {
             if needs_iq {
                 self.iq_count += 1;
             }
-            if needs_lq {
-                self.lq_count += 1;
-            }
-            if needs_sq {
-                self.sq_count += 1;
-            }
-            let width = u64::from(cls.width);
-            if needs_lq {
-                self.lq.push_back(LsqEntry {
-                    seq: f.seq,
-                    addr: d.mem_addr,
-                    width,
-                    done: false,
-                });
-            }
-            if needs_sq {
-                self.sq.push_back(LsqEntry {
-                    seq: f.seq,
-                    addr: d.mem_addr,
-                    width,
-                    done: false,
-                });
-            }
+            let lsq_entry = LsqEntry {
+                seq: f.seq,
+                addr: d.mem_addr,
+                width: u64::from(cls.width),
+                done: false,
+            };
+            let lsq_pos = if needs_lq {
+                self.lq.push_back(lsq_entry)
+            } else if needs_sq {
+                self.sq.push_back(lsq_entry)
+            } else {
+                0
+            };
 
             let mut srcs = [NO_SRC; 2];
             for (i, m) in renamed.srcs.iter().flatten().enumerate() {
@@ -1740,7 +1761,17 @@ impl<'p> Simulator<'p> {
                     disp: m.disp,
                 };
             }
-            let mut flags = 0u16;
+            let op = d.inst.op;
+            let port = port_class(op);
+            let fused = srcs[0].disp != 0 || srcs[1].disp != 0;
+            let mut flags = (port as u32) << PORT_SHIFT;
+            if port != PORT_LOAD {
+                let lat = exec_latency(op, srcs[0].disp, srcs[1].disp, self.cfg.fused_extra_cycle);
+                flags |= (lat as u32) << LAT_SHIFT;
+            }
+            if fused && self.cfg.fused_extra_cycle {
+                flags |= F_AGEN_EXTRA;
+            }
             if needs_iq {
                 flags |= F_IN_IQ;
             }
@@ -1761,25 +1792,29 @@ impl<'p> Simulator<'p> {
             }
 
             let old_preg = renamed.dst.map_or(NONE32, |d| d.old.preg.index() as u32);
-            self.rob.push_back(Slot {
-                seq: f.seq,
+            let pos = self.rob.push_back(Slot {
                 complete: self.cycle + 1, // eliminated: done at rename2
                 exec_start: u64::MAX,
                 min_select: self.cycle + RENAME_TO_SELECT,
                 ss_dep: ss_dep.unwrap_or(u64::MAX),
                 mem_addr: d.mem_addr,
+                lsq_pos,
                 srcs,
                 dst_preg,
                 old_preg,
                 flags,
-                op: d.inst.op,
+                op,
             });
-            self.aux.push_back(SlotAux {
-                dst: renamed.dst,
-                rename_cycle: self.cycle,
-                served: None,
-                dep_seq: None,
-            });
+            debug_assert_eq!(pos, f.seq, "the ROB holds a contiguous run of seqs");
+            let i = self.rob.slot(f.seq);
+            self.dsts[i] = renamed.dst;
+            if self.cfg.collect_cpa {
+                self.cpa_facts[i] = CpaFacts {
+                    rename_cycle: self.cycle,
+                    served: None,
+                    dep_seq: None,
+                };
+            }
             if let Some(t) = &mut self.trace {
                 let outcome = match renamed.kind {
                     reno_core::RenamedKind::Issued => RenameOutcome::Issued,
@@ -1798,7 +1833,7 @@ impl<'p> Simulator<'p> {
                 }
             }
             if needs_iq && !self.reference {
-                self.file_iq(f.seq);
+                self.file_waiting(f.seq, self.cycle + RENAME_TO_SELECT, srcs);
             }
             if flags & F_NEEDS_REEXEC != 0 {
                 self.reexec_queue.push_back(f.seq);
@@ -1817,24 +1852,21 @@ impl<'p> Simulator<'p> {
     /// cursor increment; the per-instruction path is kept as the
     /// differential baseline (see [`Simulator::with_reference_paths`]).
     fn next_feed(&mut self) -> Option<(u64, bool)> {
-        if let Some(seq) = self.replay.pop_front() {
+        let seq = self.fetch_next;
+        if seq < self.fresh {
+            self.fetch_next += 1;
             return Some((seq, true));
         }
         if self.oracle_done || self.halt_seen {
             return None;
         }
         if !self.reference {
-            if self.feed_head == self.feed_tail {
+            if seq == self.feed_tail {
                 // Ring room: everything from the oldest live in-flight seq
-                // (ROB head, else the oldest fetch-buffered) through the
-                // prefill tail must stay addressable without aliasing.
-                let oldest_live = self
-                    .rob
-                    .front()
-                    .map(|s| s.seq)
-                    .or_else(|| self.fetch_buf.front().map(|f| f.seq))
-                    .unwrap_or(self.feed_tail);
-                let room = (self.dyn_mask + 1) - (self.feed_tail - oldest_live);
+                // (the ROB's head position, which is the next to rename when
+                // the ROB is empty) through the prefill tail must stay
+                // addressable without aliasing.
+                let room = (self.dyn_mask + 1) - (self.feed_tail - self.rob.head());
                 debug_assert!(room > 0, "dyn_ring too small for the live window");
                 let n = self.oracle.refill(
                     &mut self.dyn_ring,
@@ -1848,29 +1880,24 @@ impl<'p> Simulator<'p> {
                 }
                 self.feed_tail += n as u64;
             }
-            let seq = self.feed_head;
-            self.feed_head += 1;
-            return Some((seq, false));
-        }
-        match self.oracle.next() {
-            Some(d) => {
-                let seq = d.seq;
-                if let Some(front) = self.rob.front() {
-                    debug_assert!(
-                        seq - front.seq <= self.dyn_mask,
-                        "dyn_ring too small for the live window"
-                    );
-                }
-                let slot = (seq & self.dyn_mask) as usize;
-                self.class_ring[slot] = RenameClass::of(&d.inst);
-                self.dyn_ring[slot] = d;
-                Some((seq, false))
-            }
-            None => {
+        } else {
+            let Some(d) = self.oracle.next() else {
                 self.oracle_done = true;
-                None
-            }
+                return None;
+            };
+            debug_assert_eq!(d.seq, seq, "the oracle feeds consecutive seqs");
+            debug_assert!(
+                seq - self.rob.head() <= self.dyn_mask,
+                "dyn_ring too small for the live window"
+            );
+            let slot = (seq & self.dyn_mask) as usize;
+            self.class_ring[slot] = RenameClass::of(&d.inst);
+            self.dyn_ring[slot] = d;
+            self.feed_tail = seq + 1;
         }
+        self.fetch_next = seq + 1;
+        self.fresh = seq + 1;
+        Some((seq, false))
     }
 
     fn fetch_stage(&mut self) {
@@ -1880,7 +1907,8 @@ impl<'p> Simulator<'p> {
         if self.fetch_buf.len() >= self.cfg.fetch_width * 4 {
             return;
         }
-        let line_bytes = self.cfg.hier.l1i.line_bytes as u64;
+        // The I$ geometry is a power of two (the hierarchy checked it).
+        let line_shift = self.cfg.hier.l1i.line_bytes.trailing_zeros();
         let mut cur_line: Option<u64> = None;
         let mut ic_done = self.cycle;
         let mut taken = 0;
@@ -1895,7 +1923,7 @@ impl<'p> Simulator<'p> {
                 (d.pc, d.inst.op, d.inst.rs1, d.taken, d.next_pc)
             };
             let addr = Program::inst_addr(pc);
-            let line = addr / line_bytes;
+            let line = addr >> line_shift;
             if cur_line != Some(line) {
                 cur_line = Some(line);
                 let (done, _) = self.mem.access_inst(addr, self.cycle);

@@ -780,6 +780,7 @@ impl Value {
 }
 
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     pos: usize,
 }
@@ -876,37 +877,83 @@ impl<'a> Parser<'a> {
 
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
-        let mut s = String::new();
-        while self.pos < self.b.len() {
-            match self.b[self.pos] {
-                b'"' => {
+        let mut out = String::new();
+        loop {
+            // Copy the run up to the next quote or backslash as one slice of
+            // the input: both are ASCII, so the run ends on a character
+            // boundary and multi-byte UTF-8 passes through unchanged.
+            let run = self.pos;
+            while self.pos < self.b.len() && !matches!(self.b[self.pos], b'"' | b'\\') {
+                self.pos += 1;
+            }
+            out.push_str(&self.s[run..self.pos]);
+            match self.b.get(self.pos) {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
                     self.pos += 1;
-                    return Ok(s);
+                    return Ok(out);
                 }
-                b'\\' => {
+                Some(_) => {
                     self.pos += 1;
                     let esc = *self
                         .b
                         .get(self.pos)
                         .ok_or_else(|| self.err("open escape"))?;
-                    s.push(match esc {
+                    let c = match esc {
                         b'"' => '"',
                         b'\\' => '\\',
                         b'/' => '/',
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
                         b'n' => '\n',
-                        b't' => '\t',
                         b'r' => '\r',
+                        b't' => '\t',
+                        b'u' => {
+                            self.pos += 1;
+                            out.push(self.unicode_escape()?);
+                            continue;
+                        }
                         _ => return Err(self.err("unsupported escape")),
-                    });
-                    self.pos += 1;
-                }
-                c => {
-                    s.push(c as char);
+                    };
+                    out.push(c);
                     self.pos += 1;
                 }
             }
         }
-        Err(self.err("unterminated string"))
+    }
+
+    /// The character of a `\uXXXX` escape whose hex digits start at the
+    /// cursor, joining a UTF-16 surrogate pair written as two escapes.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let hi = self.hex4()?;
+        let code = match hi {
+            0xd800..=0xdbff => {
+                if self.b.get(self.pos..self.pos + 2) != Some(b"\\u") {
+                    return Err(self.err("unpaired surrogate escape"));
+                }
+                self.pos += 2;
+                let lo = self.hex4()?;
+                if !(0xdc00..=0xdfff).contains(&lo) {
+                    return Err(self.err("unpaired surrogate escape"));
+                }
+                0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
+            }
+            0xdc00..=0xdfff => return Err(self.err("unpaired surrogate escape")),
+            _ => hi,
+        };
+        char::from_u32(code).ok_or_else(|| self.err("bad \\u escape"))
+    }
+
+    /// Four hex digits at the cursor, as a UTF-16 code unit.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let unit = self
+            .s
+            .get(self.pos..self.pos + 4)
+            .filter(|d| d.bytes().all(|c| c.is_ascii_hexdigit()))
+            .and_then(|d| u32::from_str_radix(d, 16).ok())
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        self.pos += 4;
+        Ok(unit)
     }
 
     fn number(&mut self) -> Result<Value, String> {
@@ -931,15 +978,18 @@ impl<'a> Parser<'a> {
 
 /// Parses one JSON document: the repository's one JSON reader, for the
 /// Chrome trace export above, `reno-dse`'s `stats.json`, `BENCH_sim.json`
-/// and `BENCHMARK.json`. Not a full RFC 8259 parser (no `\u` escapes), but
-/// strict about structure: unbalanced brackets, bad separators, bare
-/// tokens and trailing garbage are all errors.
+/// and `BENCHMARK.json`. Strings are decoded as UTF-8, with every RFC 8259
+/// escape (`\uXXXX` included, surrogate pairs joined). Strict about
+/// structure: unbalanced brackets, bad separators, bare tokens and trailing
+/// garbage are all errors; unlike RFC 8259 it lets raw control characters
+/// through inside strings.
 ///
 /// # Errors
 ///
 /// A description and byte offset of the first syntax problem.
 pub fn parse_json(s: &str) -> Result<Value, String> {
     let mut p = Parser {
+        s,
         b: s.as_bytes(),
         pos: 0,
     };
@@ -1192,5 +1242,57 @@ mod tests {
         assert!(parse_json("{\"a\":1} trailing").is_err());
         assert!(parse_json("[1,2").is_err());
         assert!(parse_json("\"unterminated").is_err());
+    }
+
+    fn json_str(doc: &str) -> Result<String, String> {
+        match parse_json(doc)? {
+            Value::Str(s) => Ok(s),
+            v => Err(format!("not a string: {v:?}")),
+        }
+    }
+
+    #[test]
+    fn json_strings_decode_utf8_and_every_escape() {
+        // Multi-byte UTF-8 passes through as characters, not as bytes.
+        assert_eq!(json_str("\"é\"").unwrap(), "é");
+        assert_eq!(
+            json_str("\"rustc 1.95 — 日本 🦀\"").unwrap(),
+            "rustc 1.95 — 日本 🦀"
+        );
+        assert_eq!(
+            json_str(r#""q\" b\\ s\/ n\n r\r t\t b\b f\f""#).unwrap(),
+            "q\" b\\ s/ n\n r\r t\t b\u{8} f\u{c}"
+        );
+        assert_eq!(json_str(r#""\u00e9\u0041\u20AC""#).unwrap(), "éA€");
+        // A UTF-16 surrogate pair joins into one character.
+        assert_eq!(json_str(r#""\ud83e\udd80!""#).unwrap(), "🦀!");
+        // Escapes and raw runs interleave.
+        assert_eq!(json_str(r#""a\u00e9b\nc""#).unwrap(), "aéb\nc");
+        // Object keys go through the same decoder.
+        let Value::Obj(kv) = parse_json(r#"{"cl\u00e9": "v\u00e9"}"#).unwrap() else {
+            panic!("object");
+        };
+        let [(k, Value::Str(v))] = kv.as_slice() else {
+            panic!("one string member: {kv:?}");
+        };
+        assert_eq!((k.as_str(), v.as_str()), ("clé", "vé"));
+    }
+
+    #[test]
+    fn json_strings_reject_malformed_escapes() {
+        for bad in [
+            r#""\x41""#,
+            r#""\u12""#,
+            r#""\u12G4""#,
+            r#""\u+123""#,
+            r#""\ud83e""#,
+            r#""\ud83ex""#,
+            r#""\ud83e\u0041""#,
+            r#""\udd80""#,
+            "\"\\",
+            "\"abc\\",
+        ] {
+            assert!(parse_json(bad).is_err(), "{bad} must be rejected");
+        }
     }
 }

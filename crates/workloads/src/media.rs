@@ -10,7 +10,7 @@ use reno_isa::{Asm, Program, Reg};
 pub fn adpcm_like(f: usize) -> Program {
     let n = 190 * f;
     let mut a = Asm::named("adpcm.en");
-    let pcm = a.data("pcm", &util::samples_i16(0xadc, n));
+    let pcm = a.data_owned("pcm", util::samples_i16(0xadc, n));
     // A simplified 16-entry step table.
     let steps: Vec<u64> = (0..16).map(|i| 7u64 << i).collect();
     let steps = a.words("steps", &steps);
@@ -75,7 +75,7 @@ pub fn adpcm_like(f: usize) -> Program {
 pub fn g721_like(f: usize) -> Program {
     let n = 64 * f;
     let mut a = Asm::named("g721.de");
-    let pcm = a.data("pcm", &util::samples_i16(0x721, n + 8));
+    let pcm = a.data_owned("pcm", util::samples_i16(0x721, n + 8));
     let coefs = a.words("coefs", &[3, -2, 5, -1, 4, -3, 2, 1].map(|c: i64| c as u64));
 
     a.li(Reg::S0, pcm as i64);
@@ -115,7 +115,7 @@ pub fn g721_like(f: usize) -> Program {
 pub fn gsm_like(f: usize) -> Program {
     let n = 40 * 4 * f + 64;
     let mut a = Asm::named("gsm.en");
-    let pcm = a.data("pcm", &util::samples_i16(0x65a, n));
+    let pcm = a.data_owned("pcm", util::samples_i16(0x65a, n));
 
     a.li(Reg::S0, pcm as i64);
     a.li(Reg::S1, (4 * f) as i64); // windows
@@ -225,8 +225,8 @@ pub fn jpeg_like(f: usize) -> Program {
 /// offsets, with data-dependent absolute-value branches.
 pub fn mpeg2_like(f: usize) -> Program {
     let mut a = Asm::named("mpg2.de");
-    let frame = a.data("frame", &util::lumpy_bytes(0x3992, 64 * 64));
-    let refblk = a.data("refblk", &util::lumpy_bytes(0x3993, 16 * 16));
+    let frame = a.data_owned("frame", util::lumpy_bytes(0x3992, 64 * 64));
+    let refblk = a.data_owned("refblk", util::lumpy_bytes(0x3993, 16 * 16));
 
     a.li(Reg::S0, frame as i64);
     a.li(Reg::S1, refblk as i64);
@@ -442,7 +442,7 @@ pub fn mesa_like(f: usize) -> Program {
 pub fn gs_like(f: usize) -> Program {
     let n = 256 * f + 16;
     let mut a = Asm::named("gs.de");
-    let img = a.data("img", &util::lumpy_bytes(0x65de, n));
+    let img = a.data_owned("img", util::lumpy_bytes(0x65de, n));
     let outb = a.zeros("out", n);
 
     a.li(Reg::S0, img as i64);

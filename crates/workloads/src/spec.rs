@@ -5,13 +5,14 @@
 //! does (the paper's Fig 9 shows SPEC as load- and memory-critical).
 
 use crate::util;
+use rand::Rng;
 use reno_isa::{Asm, Program, Reg};
 
 /// `gzip`-like: LZ77 hash-chain matching over a compressible byte buffer.
 pub fn gzip_like(f: usize) -> Program {
     let n = 256 * f + 64;
     let mut a = Asm::named("gzip.c");
-    let input = a.data("input", &util::lumpy_bytes(0x617a, n));
+    let input = a.data_owned("input", util::lumpy_bytes(0x617a, n));
     let head = a.zeros("head", 256 * 8);
 
     a.li(Reg::S0, input as i64);
@@ -65,7 +66,7 @@ pub fn crafty_like(f: usize) -> Program {
     let poptab: Vec<u8> = (0..256u32).map(|i| i.count_ones() as u8).collect();
     let mut a = Asm::named("crafty");
     let base = a.words("boards", &boards);
-    let tab = a.data("poptab", &poptab);
+    let tab = a.data_owned("poptab", poptab);
 
     a.li(Reg::S0, base as i64);
     a.li(Reg::S1, f as i64); // outer passes
@@ -110,16 +111,19 @@ pub fn crafty_like(f: usize) -> Program {
 /// `mcf`-like: pointer chasing through a ~1MB node array (misses in L2).
 pub fn mcf_like(f: usize) -> Program {
     let nodes = 1 << 16; // 65536 nodes x 16B = 1MB
-    let next = util::cycle_permutation(0x3cf, nodes);
-    let weights = util::words(0x3cf1, nodes);
-    // Interleave {next, weight} records.
-    let mut recs = Vec::with_capacity(nodes * 2);
-    for i in 0..nodes {
-        recs.push(next[i]);
-        recs.push(weights[i] & 0xffff);
+                         // Interleaved {next, weight} records, written straight into the data
+                         // segment's little-endian bytes.
+    let mut recs = vec![0u8; nodes * 16];
+    util::cycle_links(0x3cf, nodes, |i, next| {
+        recs[16 * i..16 * i + 8].copy_from_slice(&next.to_le_bytes());
+    });
+    let mut weights = util::rng(0x3cf1);
+    for rec in recs.chunks_exact_mut(16) {
+        let w: u64 = weights.gen();
+        rec[8..].copy_from_slice(&(w & 0xffff).to_le_bytes());
     }
     let mut a = Asm::named("mcf");
-    let base = a.words("nodes", &recs);
+    let base = a.data_owned("nodes", recs);
 
     a.li(Reg::S0, base as i64);
     a.li(Reg::S1, (600 * f) as i64); // chase steps
@@ -360,11 +364,10 @@ pub fn gap_like(f: usize) -> Program {
 /// and an in-memory VM operand stack.
 pub fn perl_like(f: usize) -> Program {
     // Bytecode: opcodes 0..6 in a deterministic but mixed order.
-    use rand::Rng;
     let mut r = util::rng(0x9e71);
     let code: Vec<u8> = (0..64).map(|_| r.gen_range(0u8..6)).collect();
     let mut a = Asm::named("perl.i");
-    let bc = a.data("bytecode", &code);
+    let bc = a.data_owned("bytecode", code);
     let table = a.zeros("jumptable", 8 * 8);
     let vmstack = a.zeros("vmstack", 256 * 8);
 
@@ -453,8 +456,8 @@ pub fn perl_like(f: usize) -> Program {
 pub fn bzip2_like(f: usize) -> Program {
     let n = 220 * f + 32;
     let mut a = Asm::named("bzip2");
-    let input = a.data("input", &util::lumpy_bytes(0xb21b, n));
-    let mtf = a.data("mtf", &(0..=255u8).collect::<Vec<_>>());
+    let input = a.data_owned("input", util::lumpy_bytes(0xb21b, n));
+    let mtf = a.data_owned("mtf", (0..=255u8).collect());
 
     a.li(Reg::S0, input as i64);
     a.li(Reg::S1, (n - 1) as i64);

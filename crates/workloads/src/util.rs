@@ -35,9 +35,11 @@ pub fn words(seed: u64, n: usize) -> Vec<u64> {
     (0..n).map(|_| r.gen()).collect()
 }
 
-/// A random permutation of `0..n` arranged as a single cycle (for
-/// pointer-chasing kernels: `next[i]` is the successor of node `i`).
-pub fn cycle_permutation(seed: u64, n: usize) -> Vec<u64> {
+/// A random permutation of `0..n` arranged as a single cycle, for
+/// pointer-chasing kernels: calls `link(i, next)` once for every node `i`
+/// with its successor `next`, in cycle order from node 0, so a caller can
+/// write the links straight into its own layout.
+pub fn cycle_links(seed: u64, n: usize, mut link: impl FnMut(usize, u64)) {
     let mut r = rng(seed);
     let mut order: Vec<u64> = (1..n as u64).collect();
     // Fisher-Yates.
@@ -45,14 +47,12 @@ pub fn cycle_permutation(seed: u64, n: usize) -> Vec<u64> {
         let j = r.gen_range(0..=i);
         order.swap(i, j);
     }
-    let mut next = vec![0u64; n];
     let mut cur = 0usize;
     for &o in &order {
-        next[cur] = o;
+        link(cur, o);
         cur = o as usize;
     }
-    next[cur] = 0;
-    next
+    link(cur, 0);
 }
 
 /// Little-endian byte encoding of 16-bit samples (for media kernels).
@@ -82,8 +82,12 @@ mod tests {
 
     #[test]
     fn cycle_visits_every_node() {
-        let next = cycle_permutation(7, 64);
-        let mut seen = vec![false; 64];
+        let mut next = [u64::MAX; 64];
+        cycle_links(7, 64, |i, o| {
+            assert_eq!(next[i], u64::MAX, "node {i} linked twice");
+            next[i] = o;
+        });
+        let mut seen = [false; 64];
         let mut cur = 0usize;
         for _ in 0..64 {
             assert!(!seen[cur], "premature cycle");
