@@ -6,13 +6,14 @@
 //! (mcf, mesa); loads are a large fraction of SPECint.
 
 use reno_bench::{amean, header, par_map, row, scale_from_env};
-use reno_func::run_to_completion;
+use reno_func::{Cpu, DecodedProgram};
 use reno_workloads::{media_suite, spec_suite, Workload};
 
 fn panel(suite_name: &str, workloads: &[Workload]) {
     let mixes = par_map(workloads, |w| {
-        let (_, r) = run_to_completion(&w.program, 100_000_000).expect("kernel runs");
-        r.mix
+        let mut cpu = Cpu::new(&w.program);
+        let dp = DecodedProgram::new(&w.program);
+        cpu.run_decoded(&dp, 100_000_000).expect("kernel runs").mix
     });
 
     println!("\n== Mix [{suite_name}]: % of dynamic instructions ==");

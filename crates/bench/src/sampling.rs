@@ -78,24 +78,6 @@ impl SampleComparison {
     }
 }
 
-/// The full detailed run of one harness job (uncapped; ground truth).
-fn run_full(w: &Workload, cfg: &MachineConfig) -> SimResult {
-    Simulator::new(&w.program, cfg.clone()).run(MAX_CYCLES)
-}
-
-/// The sampled run of one harness job (the auto ladder, uncapped).
-fn run_sampled_job(w: &Workload, cfg: &MachineConfig) -> SampledResult {
-    run_sampled_auto(&w.program, cfg.clone(), u64::MAX)
-}
-
-/// Runs the full and sampled simulations of one workload under one machine
-/// configuration and compares them (see [`SampleComparison::new`]).
-pub fn compare_one(w: &Workload, cfg: &MachineConfig) -> SampleComparison {
-    let full = run_full(w, cfg);
-    let sampled = run_sampled_job(w, cfg);
-    SampleComparison::new(w.name, &full, &sampled)
-}
-
 /// Wall-clock cost of the two harness phases (full runs vs sampled runs),
 /// reported by the `table_sample` binary alongside the deterministic table.
 #[derive(Clone, Copy, Debug)]

@@ -40,8 +40,8 @@
 //! append goes through the `dse:gc-log` failpoint site, so the crash-resume
 //! suite kills GC at every IO point.
 
-use crate::journal::sealed_line;
-use crate::store::{fnv1a64, prune_quarantine, Store};
+use crate::journal::{sealed_line, unseal};
+use crate::store::{prune_quarantine, Store};
 use crate::JournalEvent;
 use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};
@@ -109,15 +109,9 @@ fn replay_gc_log(bytes: &[u8]) -> HashSet<u64> {
         let Ok(line) = std::str::from_utf8(&raw[..raw.len() - 1]) else {
             break;
         };
-        let Some((body, ck)) = line.rsplit_once(' ') else {
+        let Some(body) = unseal(line) else {
             break;
         };
-        let Ok(ck) = u64::from_str_radix(ck, 16) else {
-            break;
-        };
-        if ck != fnv1a64(body.as_bytes()) {
-            break;
-        }
         let mut parts = body.split(' ');
         match (parts.next(), parts.next(), parts.next()) {
             (Some("evict"), Some(k), None) => match u64::from_str_radix(k, 16) {

@@ -121,8 +121,9 @@ pub fn header_line(sweep_hash: u64) -> String {
     sealed_line(&format!("sweep {sweep_hash:016x}"))
 }
 
-/// Splits a sealed line back into its body, verifying the checksum.
-fn unseal(line: &str) -> Option<&str> {
+/// Splits a sealed line (without its newline) back into its body,
+/// verifying the checksum.
+pub(crate) fn unseal(line: &str) -> Option<&str> {
     let (body, ck) = line.rsplit_once(' ')?;
     let ck = u64::from_str_radix(ck, 16).ok()?;
     (ck == fnv1a64(body.as_bytes())).then_some(body)

@@ -31,6 +31,7 @@
 //! defaults (30 s TTL, 120 s wait) unless [`crate::SweepOptions::lease`]
 //! overrides them. No environment variable tunes it.
 
+use crate::journal::{sealed_line, unseal};
 use crate::store::fnv1a64;
 use std::fs::{self, File};
 use std::io;
@@ -105,11 +106,10 @@ pub struct Lease {
 impl Lease {
     /// Serializes to the canonical sealed line (with trailing newline).
     pub fn render(&self) -> String {
-        let body = format!(
+        sealed_line(&format!(
             "lease {} {:016x} {}",
             self.pid, self.nonce, self.expires_unix_ms
-        );
-        format!("{body} {:016x}\n", fnv1a64(body.as_bytes()))
+        ))
     }
 
     /// Parses a lease file's bytes. Returns `None` on anything but a
@@ -121,11 +121,7 @@ impl Lease {
         if line.contains('\n') {
             return None;
         }
-        let (body, ck) = line.rsplit_once(' ')?;
-        if u64::from_str_radix(ck, 16).ok()? != fnv1a64(body.as_bytes()) {
-            return None;
-        }
-        let mut parts = body.split(' ');
+        let mut parts = unseal(line)?.split(' ');
         let (Some("lease"), Some(pid), Some(nonce), Some(exp), None) = (
             parts.next(),
             parts.next(),

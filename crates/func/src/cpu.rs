@@ -119,11 +119,6 @@ impl Cpu {
         &self.mem
     }
 
-    /// Mutable memory access (e.g. to pre-load inputs).
-    pub fn mem_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
     /// Instruction-mix statistics accumulated so far.
     pub fn mix(&self) -> &MixStats {
         &self.mix

@@ -1,59 +1,54 @@
-//! Predecoded basic-block execution engine.
+//! Predecoded instruction-table execution engine.
 //!
 //! [`crate::Cpu::step`] pays per-instruction overhead that a functional
 //! fast-forward does not need: an `Option`-checked fetch, immediate
 //! sign/zero extension, branch-target arithmetic, a [`crate::DynInst`]
-//! record, and per-instruction `executed`/mix bookkeeping. This module
-//! decodes each **basic block** (a straight-line run of instructions ending
-//! at a control transfer or `halt`) once into an array of pre-extracted
-//! templates and executes the common case block-at-a-time:
+//! record, and per-instruction `executed`/mix bookkeeping. A
+//! [`DecodedProgram`] decodes a program once, eagerly, into one template
+//! per pc and records each pc's **basic block** (the straight-line run from
+//! that pc to the next control transfer, `halt`, or the end of the
+//! program) with that block's instruction mix:
 //!
 //! * immediates arrive pre-extended (`andi`'s zero-extension, `lui`'s
 //!   shift, shift amounts pre-masked) and branch targets pre-resolved;
-//! * the block's instruction-mix delta is precomputed, so `executed` and
+//! * a block's instruction-mix delta is precomputed, so `executed` and
 //!   the [`MixStats`] advance once per block instead of once per
 //!   instruction;
 //! * the interpreter loop never consults the program image or the halt
 //!   flag mid-block.
 //!
-//! Blocks are cached in a [`DecodedProgram`], keyed by entry pc and built
-//! lazily on first entry. Although instruction fetch in this ISA reads the
-//! immutable `Program::insts` array (stores to the text address range
-//! change only data memory, never what fetch sees), the cache stays honest
-//! about such stores anyway: a store that lands inside the text segment's
-//! address range invalidates every cached block overlapping the written
-//! page(s), exactly as dirty-page tracking reports them, and the blocks are
-//! rebuilt on next entry. [`DecodedProgram::invalidations`] counts these
-//! events for tests.
+//! The table is immutable. Instruction fetch in this ISA reads the
+//! immutable `Program::insts` array, so a store to the text address range
+//! changes data memory only, never what executes; a machine's place in its
+//! block is just its pc.
 //!
-//! Four entry points on [`Cpu`]:
+//! Five entry points on [`Cpu`]:
 //!
 //! * [`Cpu::run_decoded`] — fueled run to `halt`, mirroring
 //!   [`Cpu::run_program`];
 //! * [`Cpu::advance_decoded`] — run to an exact dynamic-instruction
-//!   boundary (block-at-a-time until the final partial block, which steps
-//!   per-instruction so the cut lands exactly);
-//! * [`Cpu::advance_observed`] — run to an exact boundary block-at-a-time
-//!   while reporting to an [`ExecObserver`]: straight-line runs as
-//!   `(first_pc, n)`, loads, stores and control instructions as
-//!   [`crate::DynInst`] records (the sampling engine's warming
-//!   fast-forward);
-//! * [`Cpu::step_decoded`] — per-instruction stepping over predecoded
-//!   templates, yielding the same [`crate::DynInst`] records as
-//!   [`Cpu::step`] (the [`crate::Oracle`] feeds the timing simulator
-//!   through this path).
+//!   boundary, whole blocks at a time until the final partial block, which
+//!   runs template by template so the cut lands exactly;
+//! * [`Cpu::advance_observed`] — run to an exact boundary while reporting
+//!   to an [`ExecObserver`]: straight-line runs as `(first_pc, n)`, loads,
+//!   stores and control instructions as [`crate::DynInst`] records (the
+//!   sampling engine's warming fast-forward);
+//! * [`Cpu::step_decoded`] — one instruction, yielding the same
+//!   [`crate::DynInst`] record as [`Cpu::step`];
+//! * [`Cpu::refill_decoded`] — up to a cap of instructions, writing each
+//!   record into the caller's sequence-indexed rings (the
+//!   [`crate::Oracle`] feeds the timing simulator through this path).
 //!
-//! All four are bit-identical to the [`Cpu::step`] reference semantics; a
+//! All five are bit-identical to the [`Cpu::step`] reference semantics; a
 //! differential property suite (`tests/decoded_differential.rs`) pins
 //! digests, checksums, mixes, and per-record `DynInst` streams against the
-//! per-instruction engine, across self-modifying-write invalidations.
+//! per-instruction engine, including programs that store into their own
+//! text address range.
 
 use crate::{Cpu, DynInst, ExecError, MixStats, RunResult};
-use reno_isa::{Inst, Opcode, Program, Reg, RenameClass, TEXT_BASE};
+use reno_isa::{Inst, Opcode, Program, Reg, RenameClass};
 
-const NO_BLOCK: u32 = u32::MAX;
 const NO_DST: u8 = u8::MAX;
-const PAGE_SHIFT: u64 = 12;
 
 /// One predecoded instruction template: operands as register-file indices,
 /// immediates pre-extended, branch targets pre-resolved, and the rename
@@ -74,8 +69,6 @@ struct DInst {
     simm: i64,
     /// Taken-path target pc for direct control (`pc + 1 + imm`).
     target: usize,
-    /// The original instruction (what [`DynInst::inst`] reports).
-    inst: Inst,
     /// Decode-time rename pre-classification: the batched oracle feed hands
     /// this to the timing simulator's rename stage alongside the
     /// [`DynInst`], so rename switches on a precomputed class instead of
@@ -86,18 +79,7 @@ struct DInst {
     observed: bool,
 }
 
-/// A straight-line run of predecoded instructions ending at a control
-/// transfer, a `halt`, or the end of the program.
-#[derive(Clone, Debug)]
-struct DecodedBlock {
-    entry: u32,
-    insts: Box<[DInst]>,
-    /// Instruction-mix delta of one full execution of the block.
-    mix: MixStats,
-}
-
-fn decode_one(program: &Program, pc: usize) -> DInst {
-    let inst = program.insts[pc];
+fn decode_one(inst: Inst, pc: usize) -> DInst {
     let op = inst.op;
     use Opcode::*;
     let simm = match op {
@@ -115,142 +97,67 @@ fn decode_one(program: &Program, pc: usize) -> DInst {
         width: op.mem_width().map_or(0, |w| w.bytes()) as u8,
         simm,
         target,
-        inst,
         rclass: RenameClass::of(&inst),
         observed: op.is_load() || op.is_store() || op.is_control(),
     }
 }
 
-fn build_block(program: &Program, entry: usize) -> DecodedBlock {
-    let mut insts = Vec::new();
-    let mut mix = MixStats::default();
-    for pc in entry..program.insts.len() {
-        let inst = program.insts[pc];
-        mix.record(&inst);
-        insts.push(decode_one(program, pc));
-        if inst.op.is_control() || inst.op == Opcode::Halt {
-            break;
-        }
-    }
-    DecodedBlock {
-        entry: entry as u32,
-        insts: insts.into_boxed_slice(),
-        mix,
-    }
+/// The basic block entered at one pc: the straight-line run from it to the
+/// block's control transfer, `halt`, or the end of the program.
+#[derive(Debug)]
+struct Block {
+    /// One past the block's last instruction.
+    end: usize,
+    /// Instruction-mix delta of one full execution of the block.
+    mix: MixStats,
 }
 
-/// Lazily-built cache of predecoded basic blocks for one program, keyed by
-/// entry pc (see the module docs).
+/// A program decoded once into an immutable instruction table (see the
+/// module docs).
 #[derive(Debug)]
 pub struct DecodedProgram<'p> {
-    program: &'p Program,
-    /// `pc -> block index` for blocks entered at `pc` ([`NO_BLOCK`] = not
-    /// built). Distinct entry points into the same straight-line run get
-    /// distinct (suffix) blocks — entries are what execution actually
-    /// jumps to, so the map stays small and exact.
-    block_of: Vec<u32>,
-    /// Tombstoned on invalidation; tombstones are recycled through
-    /// `free_slots`, so the vector's length is bounded by the number of
-    /// distinct entry pcs even for a program that stores into its own
-    /// text range every loop iteration.
-    blocks: Vec<Option<DecodedBlock>>,
-    /// Indices of tombstoned `blocks` slots, reused before growing.
-    free_slots: Vec<u32>,
-    /// Text segment's byte-address range, for self-modifying-write checks.
-    text_lo: u64,
-    text_hi: u64,
-    invalidations: u64,
+    /// The program's instructions, which each [`DynInst::inst`] reports.
+    insts: &'p [Inst],
+    /// `templates[pc]` is the instruction at `pc`, predecoded.
+    templates: Box<[DInst]>,
+    /// `blocks[pc]` is the block entered at `pc`.
+    blocks: Box<[Block]>,
 }
 
 impl<'p> DecodedProgram<'p> {
-    /// Creates an empty block cache over `program` (no blocks are built
-    /// until first entry).
+    /// Decodes every instruction of `program` and finds each pc's block.
     pub fn new(program: &'p Program) -> DecodedProgram<'p> {
+        let insts = &program.insts[..];
+        let templates = insts
+            .iter()
+            .enumerate()
+            .map(|(pc, &inst)| decode_one(inst, pc))
+            .collect();
+        let mut blocks = Vec::with_capacity(insts.len());
+        let mut end = insts.len();
+        let mut mix = MixStats::default();
+        for (pc, inst) in insts.iter().enumerate().rev() {
+            if inst.op.is_control() || inst.op == Opcode::Halt {
+                end = pc + 1;
+                mix = MixStats::default();
+            }
+            mix.record(inst);
+            blocks.push(Block {
+                end,
+                mix: mix.clone(),
+            });
+        }
+        blocks.reverse();
         DecodedProgram {
-            program,
-            block_of: vec![NO_BLOCK; program.insts.len()],
-            blocks: Vec::new(),
-            free_slots: Vec::new(),
-            text_lo: TEXT_BASE,
-            text_hi: TEXT_BASE + 4 * program.insts.len() as u64,
-            invalidations: 0,
+            insts,
+            templates,
+            blocks: blocks.into_boxed_slice(),
         }
-    }
-
-    /// The program this cache decodes.
-    pub fn program(&self) -> &'p Program {
-        self.program
-    }
-
-    /// How many times a self-modifying write has flushed cached blocks.
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations
-    }
-
-    /// Number of live cached blocks.
-    pub fn blocks_built(&self) -> usize {
-        self.blocks.iter().filter(|b| b.is_some()).count()
-    }
-
-    fn block_index(&mut self, pc: usize) -> Result<u32, ExecError> {
-        if pc >= self.block_of.len() {
-            return Err(ExecError::PcOutOfRange { pc });
-        }
-        let bi = self.block_of[pc];
-        if bi != NO_BLOCK {
-            return Ok(bi);
-        }
-        let blk = build_block(self.program, pc);
-        let bi = match self.free_slots.pop() {
-            Some(slot) => {
-                self.blocks[slot as usize] = Some(blk);
-                slot
-            }
-            None => {
-                self.blocks.push(Some(blk));
-                self.blocks.len() as u32 - 1
-            }
-        };
-        self.block_of[pc] = bi;
-        Ok(bi)
     }
 
     #[inline]
-    fn block(&self, bi: u32) -> &DecodedBlock {
-        self.blocks[bi as usize].as_ref().expect("live block index")
-    }
-
-    /// Invalidates every cached block overlapping the text page(s) a store
-    /// to `[addr, addr + width)` touches. Call only when the store actually
-    /// intersects `[text_lo, text_hi)`.
-    fn invalidate_store(&mut self, addr: u64, width: u64) {
-        let lo = addr.max(self.text_lo);
-        let hi = addr.saturating_add(width.max(1)).min(self.text_hi);
-        if lo >= hi {
-            return;
-        }
-        self.invalidations += 1;
-        // Widen to whole dirty pages, then to the pc span they cover.
-        let page_lo = (lo >> PAGE_SHIFT) << PAGE_SHIFT;
-        let page_hi = (((hi - 1) >> PAGE_SHIFT) + 1) << PAGE_SHIFT;
-        let pc_lo = (page_lo.max(self.text_lo) - TEXT_BASE) / 4;
-        let pc_hi = ((page_hi.min(self.text_hi) - TEXT_BASE).div_ceil(4)).max(pc_lo);
-        for (i, slot) in self.blocks.iter_mut().enumerate() {
-            let Some(b) = slot else { continue };
-            let b_lo = u64::from(b.entry);
-            let b_hi = b_lo + b.insts.len() as u64;
-            if b_lo < pc_hi && b_hi > pc_lo {
-                self.block_of[b.entry as usize] = NO_BLOCK;
-                self.free_slots.push(i as u32);
-                *slot = None;
-            }
-        }
-    }
-
-    /// Whether a store to `[addr, addr + width)` lands in the text range.
-    #[inline]
-    fn store_hits_text(&self, addr: u64, width: u64) -> bool {
-        addr < self.text_hi && addr.saturating_add(width.max(1)) > self.text_lo
+    fn block(&self, pc: usize) -> Result<&Block, ExecError> {
+        self.blocks.get(pc).ok_or(ExecError::PcOutOfRange { pc })
     }
 }
 
@@ -266,33 +173,6 @@ pub trait ExecObserver {
     fn inst(&mut self, d: &DynInst);
 }
 
-/// Cursor for [`Cpu::step_decoded`] and [`Cpu::advance_observed`]:
-/// remembers the position inside the current block so consecutive steps
-/// skip the block lookup.
-#[derive(Clone, Copy, Debug)]
-pub struct BlockCursor {
-    bi: u32,
-    idx: u32,
-    epoch: u64,
-}
-
-impl BlockCursor {
-    /// A cursor with no cached position (revalidates on first use).
-    pub fn new() -> BlockCursor {
-        BlockCursor {
-            bi: NO_BLOCK,
-            idx: 0,
-            epoch: 0,
-        }
-    }
-}
-
-impl Default for BlockCursor {
-    fn default() -> BlockCursor {
-        BlockCursor::new()
-    }
-}
-
 impl Cpu {
     #[inline]
     fn wreg(&mut self, rd: u8, v: i64) {
@@ -301,20 +181,18 @@ impl Cpu {
         }
     }
 
-    /// Executes one whole decoded block. The caller guarantees
-    /// `self.pc == blk.entry` and that the whole block fits its
-    /// instruction budget. Stores landing in the text range are recorded
-    /// in `smc` (page-invalidation is the caller's job — the block borrow
-    /// is live here).
-    fn execute_block(&mut self, blk: &DecodedBlock, text_lo: u64, text_hi: u64, smc: &mut bool) {
-        debug_assert_eq!(self.pc, blk.entry as usize);
+    /// Executes `blk`, the templates of the whole block entered at the
+    /// current pc, and merges the block's precomputed `mix`. The caller
+    /// guarantees that the whole block fits its instruction budget.
+    fn execute_block(&mut self, blk: &[DInst], mix: &MixStats) {
         debug_assert_eq!(self.regs[Reg::ZERO.index()], 0, "zero-reg invariant");
-        let n = blk.insts.len();
+        let n = blk.len();
         // Fallthrough exit (== terminator pc + 1; past the program end when
         // the block was cut by it).
-        let mut exit_pc = blk.entry as usize + n;
+        let fallthrough = self.pc + n;
+        let mut exit_pc = fallthrough;
         use Opcode::*;
-        for d in blk.insts.iter() {
+        for d in blk {
             let a = self.regs[(d.rs1 & 31) as usize];
             let b = self.regs[(d.rs2 & 31) as usize];
             match d.op {
@@ -357,11 +235,7 @@ impl Cpu {
                 }
                 St | Stl | Sth | Stb => {
                     let addr = a.wrapping_add(d.simm) as u64;
-                    let w = u64::from(d.width);
-                    if addr < text_hi && addr.saturating_add(w) > text_lo {
-                        *smc = true;
-                    }
-                    self.mem.write_le(addr, w, b as u64);
+                    self.mem.write_le(addr, u64::from(d.width), b as u64);
                 }
                 Beqz => {
                     if a == 0 {
@@ -397,17 +271,17 @@ impl Cpu {
                 Jal => {
                     // The terminator is the block's last instruction, so
                     // its return address is the fallthrough pc.
-                    self.wreg(d.rd, (blk.entry as usize + n) as i64);
+                    self.wreg(d.rd, fallthrough as i64);
                     exit_pc = d.target;
                 }
                 Jr => exit_pc = a as usize,
                 Jalr => {
-                    self.wreg(d.rd, (blk.entry as usize + n) as i64);
+                    self.wreg(d.rd, fallthrough as i64);
                     exit_pc = a as usize;
                 }
                 Halt => {
                     self.halted = true;
-                    exit_pc = blk.entry as usize + n - 1;
+                    exit_pc = fallthrough - 1;
                 }
                 Out => {
                     self.checksum = self.checksum.rotate_left(13) ^ (a as u64);
@@ -416,63 +290,75 @@ impl Cpu {
         }
         self.pc = exit_pc;
         self.executed += n as u64;
-        self.mix.merge(&blk.mix);
+        self.mix.merge(mix);
     }
 
-    /// Functionally advances to dynamic-instruction boundary `until` (or
-    /// `halt`), block-at-a-time through `dp`'s predecoded cache; the final
-    /// partial block steps per-instruction so the cut lands exactly.
-    /// Bit-identical to an equivalent [`Cpu::step`] loop.
+    /// Executes templates from the current pc to dynamic-instruction
+    /// boundary `until` (or `halt`), handing each template and its record
+    /// to `sink` in program order. A run that reaches its block's end
+    /// advances the mix by the block's precomputed mix; a cut one records
+    /// per instruction.
     ///
     /// # Errors
     ///
-    /// [`ExecError::PcOutOfRange`] if the pc walks off the program.
-    pub fn advance_decoded(
+    /// [`ExecError::PcOutOfRange`] if the pc walks off the program; every
+    /// instruction executed before that has been handed to `sink`.
+    #[inline]
+    fn walk(
         &mut self,
-        dp: &mut DecodedProgram<'_>,
+        dp: &DecodedProgram<'_>,
         until: u64,
+        mut sink: impl FnMut(&DInst, &DynInst),
     ) -> Result<(), ExecError> {
-        let (text_lo, text_hi) = (dp.text_lo, dp.text_hi);
         while !self.halted && self.executed < until {
-            let bi = dp.block_index(self.pc)?;
-            let blk = dp.block(bi);
-            let n = blk.insts.len() as u64;
-            if self.executed + n <= until {
-                let mut smc = false;
-                self.execute_block(blk, text_lo, text_hi, &mut smc);
-                if smc {
-                    // Rare: the block already ran, so conservatively flush
-                    // the whole text range (the per-instruction paths
-                    // invalidate at store-page precision instead).
-                    dp.invalidate_store(text_lo, text_hi - text_lo);
-                }
+            let pc = self.pc;
+            let blk = dp.block(pc)?;
+            let left = usize::try_from(until - self.executed).unwrap_or(usize::MAX);
+            let end = pc + (blk.end - pc).min(left);
+            let insts = &dp.insts[pc..end];
+            for (d, &inst) in dp.templates[pc..end].iter().zip(insts) {
+                let rec = self.exec_dinst(d, inst);
+                sink(d, &rec);
+            }
+            if end == blk.end {
+                self.mix.merge(&blk.mix);
             } else {
-                // Partial block: fall back to the per-instruction reference
-                // engine for an exact cut.
-                while !self.halted && self.executed < until {
-                    let Some(d) = self.step(dp.program)? else {
-                        break;
-                    };
-                    if d.inst.op.is_store() {
-                        let w = d.inst.op.mem_width().map_or(1, |w| w.bytes());
-                        if dp.store_hits_text(d.mem_addr, w) {
-                            dp.invalidate_store(d.mem_addr, w);
-                        }
-                    }
-                }
+                insts.iter().for_each(|inst| self.mix.record(inst));
             }
         }
         Ok(())
     }
 
     /// Functionally advances to dynamic-instruction boundary `until` (or
-    /// `halt`) block-at-a-time, like [`Cpu::advance_decoded`], while
-    /// reporting every executed instruction to `obs` (see
-    /// [`ExecObserver`]). The cut is exact: a block that straddles `until`
-    /// runs only its prefix, and `cur` remembers the position so the next
-    /// call resumes mid-block without building a suffix block. Machine
-    /// state, and the records expanded from the reported runs, are
-    /// bit-identical to a [`Cpu::step_decoded`] loop.
+    /// `halt`), a whole predecoded block at a time; the final partial block
+    /// runs template by template so the cut lands exactly. Bit-identical to
+    /// an equivalent [`Cpu::step`] loop.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::PcOutOfRange`] if the pc walks off the program.
+    pub fn advance_decoded(
+        &mut self,
+        dp: &DecodedProgram<'_>,
+        until: u64,
+    ) -> Result<(), ExecError> {
+        while !self.halted && self.executed < until {
+            let blk = dp.block(self.pc)?;
+            if self.executed + (blk.end - self.pc) as u64 > until {
+                return self.walk(dp, until, |_, _| {});
+            }
+            self.execute_block(&dp.templates[self.pc..blk.end], &blk.mix);
+        }
+        Ok(())
+    }
+
+    /// Functionally advances to dynamic-instruction boundary `until` (or
+    /// `halt`) like [`Cpu::advance_decoded`], while reporting every
+    /// executed instruction to `obs` (see [`ExecObserver`]). The cut is
+    /// exact: a block that straddles `until` runs only its prefix, and the
+    /// next call resumes from the pc it stopped at. Machine state, and the
+    /// records expanded from the reported runs, are bit-identical to a
+    /// [`Cpu::step_decoded`] loop.
     ///
     /// # Errors
     ///
@@ -480,67 +366,30 @@ impl Cpu {
     /// instruction executed before that has been reported.
     pub fn advance_observed<O: ExecObserver>(
         &mut self,
-        dp: &mut DecodedProgram<'_>,
-        cur: &mut BlockCursor,
+        dp: &DecodedProgram<'_>,
         until: u64,
         obs: &mut O,
     ) -> Result<(), ExecError> {
-        while !self.halted && self.executed < until {
-            if cur.bi == NO_BLOCK || cur.epoch != dp.invalidations {
-                cur.bi = dp.block_index(self.pc)?;
-                cur.idx = 0;
-                cur.epoch = dp.invalidations;
-            }
-            let start = cur.idx as usize;
-            let blk = dp.block(cur.bi);
-            debug_assert_eq!(self.pc, blk.entry as usize + start);
-            let len = blk.insts.len();
-            let n = (len - start).min(usize::try_from(until - self.executed).unwrap_or(usize::MAX));
-            let mut smc: Option<(u64, u64)> = None;
-            let mut run_pc = self.pc;
-            let mut run_n = 0u64;
-            let mut done = 0usize;
-            for d in &blk.insts[start..start + n] {
-                let rec = self.exec_dinst(d);
-                done += 1;
-                if !d.observed {
-                    run_n += 1;
-                    continue;
+        // The straight-line run not yet reported.
+        let (mut run_pc, mut run_n) = (self.pc, 0u64);
+        let done = self.walk(dp, until, |d, rec| {
+            if !d.observed {
+                if run_n == 0 {
+                    run_pc = rec.pc;
                 }
-                if run_n > 0 {
-                    obs.run(run_pc, run_n);
-                    run_n = 0;
-                }
-                obs.inst(&rec);
-                run_pc = self.pc;
-                if d.op.is_store() && dp.store_hits_text(rec.mem_addr, u64::from(d.width)) {
-                    // Cut after the offending store, exactly where the
-                    // per-instruction path would invalidate.
-                    smc = Some((rec.mem_addr, u64::from(d.width)));
-                    break;
-                }
+                run_n += 1;
+                return;
             }
             if run_n > 0 {
                 obs.run(run_pc, run_n);
+                run_n = 0;
             }
-            if start == 0 && done == len {
-                self.mix.merge(&blk.mix);
-            } else {
-                for d in &blk.insts[start..start + done] {
-                    self.mix.record(&d.inst);
-                }
-            }
-            if let Some((addr, w)) = smc {
-                dp.invalidate_store(addr, w);
-                cur.bi = NO_BLOCK;
-            } else if start + done == len {
-                // The terminator (taken or not) always ends the block.
-                cur.bi = NO_BLOCK;
-            } else {
-                cur.idx += done as u32;
-            }
+            obs.inst(rec);
+        });
+        if run_n > 0 {
+            obs.run(run_pc, run_n);
         }
-        Ok(())
+        done
     }
 
     /// Runs to `halt` (or `fuel` instructions) over predecoded blocks.
@@ -552,7 +401,7 @@ impl Cpu {
     /// See [`ExecError`].
     pub fn run_decoded(
         &mut self,
-        dp: &mut DecodedProgram<'_>,
+        dp: &DecodedProgram<'_>,
         fuel: u64,
     ) -> Result<RunResult, ExecError> {
         let start = self.executed;
@@ -571,20 +420,14 @@ impl Cpu {
         })
     }
 
-    /// Executes one predecoded template against the machine state,
-    /// producing the same [`DynInst`] record (and the same architectural
-    /// effects) as [`Cpu::step`] would for the instruction it was decoded
-    /// from. Shared by [`Cpu::step_decoded`] and the batched
-    /// [`Cpu::refill_decoded`] so the two feeds cannot diverge.
-    ///
-    /// Does **not** advance the instruction mix or perform self-modifying-
-    /// write invalidation — the callers own both (the batch path amortizes
-    /// the mix at block granularity).
+    /// Executes one predecoded template of `inst` against the machine
+    /// state, producing the same [`DynInst`] record (and the same
+    /// architectural effects) as [`Cpu::step`] would. Does **not** advance
+    /// the instruction mix: `walk` owns it, at block granularity.
     #[inline]
-    fn exec_dinst(&mut self, d: &DInst) -> DynInst {
+    fn exec_dinst(&mut self, d: &DInst, inst: Inst) -> DynInst {
         let pc = self.pc;
         let seq = self.executed;
-        let inst = d.inst;
 
         let mut next_pc = pc + 1;
         let mut taken = false;
@@ -690,61 +533,23 @@ impl Cpu {
 
     /// Executes one instruction over predecoded templates, producing the
     /// same [`DynInst`] record (and the same machine state) as
-    /// [`Cpu::step`]. `cur` caches the intra-block position between calls.
+    /// [`Cpu::step`].
     ///
     /// # Errors
     ///
     /// [`ExecError::PcOutOfRange`] if the pc walks off the program.
-    pub fn step_decoded(
-        &mut self,
-        dp: &mut DecodedProgram<'_>,
-        cur: &mut BlockCursor,
-    ) -> Result<Option<DynInst>, ExecError> {
-        if self.halted {
-            return Ok(None);
-        }
-        if cur.bi == NO_BLOCK || cur.epoch != dp.invalidations {
-            cur.bi = dp.block_index(self.pc)?;
-            cur.idx = 0;
-            cur.epoch = dp.invalidations;
-        }
-        let blk = dp.block(cur.bi);
-        debug_assert_eq!(self.pc, blk.entry as usize + cur.idx as usize);
-        let d = blk.insts[cur.idx as usize];
-        let last = cur.idx as usize + 1 == blk.insts.len();
-
-        let rec = self.exec_dinst(&d);
-        self.mix.record(&d.inst);
-
-        if d.op.is_store() {
-            let w = u64::from(d.width);
-            if dp.store_hits_text(rec.mem_addr, w) {
-                dp.invalidate_store(rec.mem_addr, w);
-                cur.bi = NO_BLOCK; // the current block may be gone
-            }
-        }
-        if cur.bi != NO_BLOCK {
-            if last || rec.taken {
-                cur.bi = NO_BLOCK;
-            } else {
-                cur.idx += 1;
-            }
-        }
-
-        Ok(Some(rec))
+    pub fn step_decoded(&mut self, dp: &DecodedProgram<'_>) -> Result<Option<DynInst>, ExecError> {
+        let mut out = None;
+        self.walk(dp, self.executed + 1, |_, rec| out = Some(*rec))?;
+        Ok(out)
     }
 
     /// Batch counterpart of [`Cpu::step_decoded`]: executes up to `cap`
-    /// instructions — as many whole decoded blocks as fit — in one call,
-    /// writing each [`DynInst`] record and its [`RenameClass`] into the
-    /// caller's sequence-indexed rings at `seq & mask`. Returns how many
-    /// were executed (0 only when the machine is halted or `cap` is 0).
-    ///
-    /// The per-instruction bounds checks, block-cache revalidation, and mix
-    /// bookkeeping are hoisted to block granularity; the record stream and
-    /// machine state are bit-identical to a [`Cpu::step_decoded`] loop
-    /// (including self-modifying-write invalidation, which cuts a block
-    /// exactly where the per-instruction path would reset its cursor).
+    /// instructions in one call, writing each [`DynInst`] record and its
+    /// [`RenameClass`] into the caller's sequence-indexed rings at
+    /// `seq & mask`. Returns how many were executed (0 only when the
+    /// machine is halted or `cap` is 0). The record stream and machine
+    /// state are bit-identical to a [`Cpu::step_decoded`] loop.
     ///
     /// # Errors
     ///
@@ -754,88 +559,30 @@ impl Cpu {
     /// per-instruction stream would first fail).
     pub fn refill_decoded(
         &mut self,
-        dp: &mut DecodedProgram<'_>,
-        cur: &mut BlockCursor,
+        dp: &DecodedProgram<'_>,
         ring: &mut [DynInst],
         classes: &mut [RenameClass],
         mask: u64,
         cap: u64,
     ) -> Result<usize, ExecError> {
-        let mut total = 0usize;
-        while total < cap as usize && !self.halted {
-            if cur.bi == NO_BLOCK || cur.epoch != dp.invalidations {
-                cur.bi = match dp.block_index(self.pc) {
-                    Ok(bi) => bi,
-                    Err(e) if total == 0 => return Err(e),
-                    // Records already produced: hand them over; the next
-                    // call re-encounters the error at the same pc.
-                    Err(_) => break,
-                };
-                cur.idx = 0;
-                cur.epoch = dp.invalidations;
-            }
-            let start = cur.idx as usize;
-            let mut wrote = 0usize;
-            let mut smc: Option<(u64, u64)> = None;
-            let ended;
-            {
-                let blk = dp.block(cur.bi);
-                debug_assert_eq!(self.pc, blk.entry as usize + start);
-                let len = blk.insts.len();
-                let n = (len - start).min(cap as usize - total);
-                // A whole-block batch advances the mix with one precomputed
-                // merge; a capped partial batch records per instruction, and
-                // the rare text-store cut un-records the unexecuted suffix.
-                let whole = start == 0 && n == len;
-                if whole {
-                    self.mix.merge(&blk.mix);
-                }
-                for d in &blk.insts[start..start + n] {
-                    let rec = self.exec_dinst(d);
-                    let slot = (rec.seq & mask) as usize;
-                    ring[slot] = rec;
-                    classes[slot] = d.rclass;
-                    wrote += 1;
-                    if !whole {
-                        self.mix.record(&d.inst);
-                    }
-                    if d.op.is_store() {
-                        let w = u64::from(d.width);
-                        if dp.store_hits_text(rec.mem_addr, w) {
-                            // Cut the batch after the offending store,
-                            // exactly where the per-instruction path would
-                            // invalidate.
-                            smc = Some((rec.mem_addr, w));
-                            break;
-                        }
-                    }
-                }
-                if whole && wrote < len {
-                    for d in &blk.insts[wrote..] {
-                        self.mix.unrecord(&d.inst);
-                    }
-                }
-                ended = start + wrote == len;
-            }
-            total += wrote;
-            if let Some((addr, w)) = smc {
-                dp.invalidate_store(addr, w);
-                cur.bi = NO_BLOCK;
-            } else if ended {
-                // The terminator (taken or not) always ends the block.
-                cur.bi = NO_BLOCK;
-            } else {
-                cur.idx += wrote as u32;
-            }
+        let start = self.executed;
+        let done = self.walk(dp, start.saturating_add(cap), |d, rec| {
+            let slot = (rec.seq & mask) as usize;
+            ring[slot] = *rec;
+            classes[slot] = d.rclass;
+        });
+        let n = (self.executed - start) as usize;
+        match done {
+            Err(e) if n == 0 => Err(e),
+            _ => Ok(n),
         }
-        Ok(total)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reno_isa::Asm;
+    use reno_isa::{Asm, TEXT_BASE};
 
     fn loop_kernel(iters: i64) -> Program {
         let mut a = Asm::new();
@@ -863,13 +610,11 @@ mod tests {
         let mut a = Cpu::new(&p);
         let ra = a.run_program(&p, 1 << 20).unwrap();
         let mut b = Cpu::new(&p);
-        let mut dp = DecodedProgram::new(&p);
-        let rb = b.run_decoded(&mut dp, 1 << 20).unwrap();
+        let dp = DecodedProgram::new(&p);
+        let rb = b.run_decoded(&dp, 1 << 20).unwrap();
         assert_eq!(ra, rb);
         assert_eq!(a.state_digest(), b.state_digest());
         assert_eq!(a.pc(), b.pc());
-        assert!(dp.blocks_built() >= 2);
-        assert_eq!(dp.invalidations(), 0);
     }
 
     #[test]
@@ -881,8 +626,8 @@ mod tests {
                 a.step(&p).unwrap();
             }
             let mut b = Cpu::new(&p);
-            let mut dp = DecodedProgram::new(&p);
-            b.advance_decoded(&mut dp, cut).unwrap();
+            let dp = DecodedProgram::new(&p);
+            b.advance_decoded(&dp, cut).unwrap();
             assert_eq!(a.executed(), b.executed(), "cut {cut}");
             assert_eq!(a.pc(), b.pc(), "cut {cut}");
             assert_eq!(a.state_digest(), b.state_digest(), "cut {cut}");
@@ -895,11 +640,10 @@ mod tests {
         let p = loop_kernel(40);
         let mut a = Cpu::new(&p);
         let mut b = Cpu::new(&p);
-        let mut dp = DecodedProgram::new(&p);
-        let mut cur = BlockCursor::new();
+        let dp = DecodedProgram::new(&p);
         loop {
             let da = a.step(&p).unwrap();
-            let db = b.step_decoded(&mut dp, &mut cur).unwrap();
+            let db = b.step_decoded(&dp).unwrap();
             assert_eq!(da, db);
             if da.is_none() {
                 break;
@@ -915,8 +659,8 @@ mod tests {
         a.br("spin");
         let p = a.assemble().unwrap();
         let mut cpu = Cpu::new(&p);
-        let mut dp = DecodedProgram::new(&p);
-        let err = cpu.run_decoded(&mut dp, 10).unwrap_err();
+        let dp = DecodedProgram::new(&p);
+        let err = cpu.run_decoded(&dp, 10).unwrap_err();
         assert_eq!(err, ExecError::OutOfFuel { executed: 10 });
         assert_eq!(cpu.executed(), 10);
     }
@@ -927,22 +671,40 @@ mod tests {
         a.addi(Reg::T0, Reg::ZERO, 1); // falls off the end
         let p = a.assemble().unwrap();
         let mut cpu = Cpu::new(&p);
-        let mut dp = DecodedProgram::new(&p);
-        let err = cpu.run_decoded(&mut dp, 10).unwrap_err();
+        let dp = DecodedProgram::new(&p);
+        let err = cpu.run_decoded(&dp, 10).unwrap_err();
         assert_eq!(err, ExecError::PcOutOfRange { pc: 1 });
     }
 
+    /// Expands [`Cpu::advance_observed`]'s report into one entry per
+    /// instruction: its pc, and its record when it was reported as one.
+    #[derive(Default)]
+    struct Seen(Vec<(usize, Option<DynInst>)>);
+
+    impl ExecObserver for Seen {
+        fn run(&mut self, first_pc: usize, n: u64) {
+            self.0
+                .extend((first_pc..first_pc + n as usize).map(|pc| (pc, None)));
+        }
+
+        fn inst(&mut self, d: &DynInst) {
+            self.0.push((d.pc, Some(*d)));
+        }
+    }
+
     #[test]
-    fn text_store_invalidates_overlapping_blocks() {
-        // A store aimed into the text address range must flush cached
-        // blocks (and execution must proceed identically afterwards).
+    fn text_store_changes_only_data() {
+        // A store into the text address range writes data memory only: the
+        // load reads the stored value back, and execution carries on over
+        // the program's unchanged instructions.
         let mut a = Asm::new();
         a.li(Reg::T0, TEXT_BASE as i64);
         a.li(Reg::T1, 3);
         a.li(Reg::V0, 0);
         a.label("loop");
-        a.st(Reg::T1, Reg::T0, 8); // lands inside the text range
-        a.addi(Reg::V0, Reg::V0, 1);
+        a.st(Reg::T1, Reg::T0, 8); // over the words of pcs 2 and 3
+        a.ld(Reg::T2, Reg::T0, 8);
+        a.add(Reg::V0, Reg::V0, Reg::T2);
         a.addi(Reg::T1, Reg::T1, -1);
         a.bnez(Reg::T1, "loop");
         a.out(Reg::V0);
@@ -950,12 +712,80 @@ mod tests {
         let p = a.assemble().unwrap();
 
         let mut reference = Cpu::new(&p);
-        let rr = reference.run_program(&p, 1 << 12).unwrap();
-        let mut cpu = Cpu::new(&p);
-        let mut dp = DecodedProgram::new(&p);
-        let rd = cpu.run_decoded(&mut dp, 1 << 12).unwrap();
-        assert_eq!(rr, rd);
-        assert_eq!(reference.state_digest(), cpu.state_digest());
-        assert!(dp.invalidations() > 0, "the SMC store must be noticed");
+        let mut want = Vec::new();
+        while let Some(d) = reference.step(&p).unwrap() {
+            assert_eq!(d.inst, p.insts[d.pc], "fetch reads the program");
+            want.push(d);
+        }
+        let loaded: Vec<i64> = want
+            .iter()
+            .filter(|d| d.inst.op == Opcode::Ld)
+            .map(|d| d.dst_val)
+            .collect();
+        assert_eq!(loaded, [3, 2, 1], "each load reads the value just stored");
+        assert_eq!(reference.reg(Reg::V0), 6);
+        let same = |cpu: &Cpu, what: &str| {
+            assert_eq!(cpu.executed(), reference.executed(), "executed [{what}]");
+            assert_eq!(cpu.pc(), reference.pc(), "pc [{what}]");
+            assert_eq!(
+                cpu.state_digest(),
+                reference.state_digest(),
+                "digest [{what}]"
+            );
+            assert_eq!(cpu.mix(), reference.mix(), "mix [{what}]");
+        };
+
+        let dp = DecodedProgram::new(&p);
+        let mut run = Cpu::new(&p);
+        run.run_decoded(&dp, 1 << 12).unwrap();
+        same(&run, "run_decoded");
+
+        let mut step = Cpu::new(&p);
+        let mut stepped = Vec::new();
+        while let Some(d) = step.step_decoded(&dp).unwrap() {
+            stepped.push(d);
+        }
+        assert_eq!(stepped, want, "step_decoded");
+        same(&step, "step_decoded");
+
+        // Refills of at most three records into an eight-slot ring, drained
+        // after every call.
+        let mut refill = Cpu::new(&p);
+        let mut ring = [want[0]; 8];
+        let mut classes = [RenameClass::of(&want[0].inst); 8];
+        let mut refilled = Vec::new();
+        loop {
+            let n = refill
+                .refill_decoded(&dp, &mut ring, &mut classes, 7, 3)
+                .unwrap();
+            if n == 0 {
+                break;
+            }
+            for seq in refill.executed() - n as u64..refill.executed() {
+                let d = ring[(seq & 7) as usize];
+                assert_eq!(classes[(seq & 7) as usize], RenameClass::of(&d.inst));
+                refilled.push(d);
+            }
+        }
+        assert_eq!(refilled, want, "refill_decoded");
+        same(&refill, "refill_decoded");
+
+        // Advances of four instructions at a time.
+        let mut observed = Cpu::new(&p);
+        let mut seen = Seen::default();
+        while !observed.halted() {
+            let until = observed.executed() + 4;
+            observed.advance_observed(&dp, until, &mut seen).unwrap();
+        }
+        let expanded: Vec<_> = want
+            .iter()
+            .map(|d| {
+                let op = d.inst.op;
+                let full = op.is_load() || op.is_store() || op.is_control();
+                (d.pc, full.then_some(*d))
+            })
+            .collect();
+        assert_eq!(seen.0, expanded, "advance_observed");
+        same(&observed, "advance_observed");
     }
 }

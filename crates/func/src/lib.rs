@@ -73,7 +73,7 @@ mod trace;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use cpu::{run_to_completion, Cpu, ExecError, RunResult};
-pub use decode::{BlockCursor, DecodedProgram, ExecObserver};
+pub use decode::{DecodedProgram, ExecObserver};
 pub use memory::{Memory, PAGE_BYTES};
 pub use mix::MixStats;
 pub use trace::{DynInst, Oracle};

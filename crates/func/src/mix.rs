@@ -60,34 +60,6 @@ impl MixStats {
         }
     }
 
-    /// Reverses one [`MixStats::record`] call for `inst` (the batched block
-    /// executor merges a whole block's precomputed mix up front and
-    /// un-records the unexecuted suffix when a self-modifying write cuts
-    /// the block short).
-    pub fn unrecord(&mut self, inst: &Inst) {
-        self.total -= 1;
-        if inst.is_move() {
-            self.moves -= 1;
-            return;
-        }
-        match inst.op.class() {
-            OpClass::AluRI => {
-                if inst.op.is_reg_imm_add() {
-                    self.reg_imm_adds -= 1;
-                } else {
-                    self.other_alu_ri -= 1;
-                }
-            }
-            OpClass::AluRR => self.alu_rr -= 1,
-            OpClass::Mul => self.muls -= 1,
-            OpClass::Load => self.loads -= 1,
-            OpClass::Store => self.stores -= 1,
-            OpClass::CondBranch => self.cond_branches -= 1,
-            OpClass::Jump | OpClass::JumpReg => self.jumps -= 1,
-            OpClass::Misc => self.other -= 1,
-        }
-    }
-
     /// Percentage helper: `part / total * 100`.
     pub fn pct(&self, part: u64) -> f64 {
         if self.total == 0 {

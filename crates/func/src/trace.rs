@@ -1,4 +1,4 @@
-use crate::{BlockCursor, Cpu, DecodedProgram, ExecError};
+use crate::{Cpu, DecodedProgram, ExecError};
 use reno_isa::{Inst, Program, RenameClass};
 
 /// One dynamic instruction on the architecturally correct path, as observed
@@ -53,14 +53,16 @@ impl DynInst {
 #[derive(Debug)]
 pub struct Oracle<'p> {
     cpu: Cpu,
-    /// Predecoded block cache: the oracle steps over pre-extracted
-    /// instruction templates ([`Cpu::step_decoded`]) instead of re-decoding
-    /// from the program image, shaving the oracle tax off every detailed
-    /// simulation cycle. The [`DynInst`] stream is bit-identical to the
-    /// [`Cpu::step`] reference path.
+    /// The program's instruction table, decoded once when the oracle is
+    /// built: both feeds execute its templates ([`Cpu::refill_decoded`] for
+    /// [`Oracle::refill`], [`Cpu::step_decoded`] for [`Iterator::next`])
+    /// instead of re-decoding from the program image, shaving the oracle
+    /// tax off every detailed simulation cycle. The [`DynInst`] stream is
+    /// bit-identical to the [`Cpu::step`] reference path.
     dec: DecodedProgram<'p>,
-    cur: BlockCursor,
+    /// Instructions the stream may still yield.
     fuel: u64,
+    /// The execution error that ended the stream, if any.
     error: Option<ExecError>,
 }
 
@@ -77,7 +79,6 @@ impl<'p> Oracle<'p> {
         Oracle {
             cpu,
             dec: DecodedProgram::new(program),
-            cur: BlockCursor::new(),
             fuel,
             error: None,
         }
@@ -99,18 +100,17 @@ impl<'p> Oracle<'p> {
     }
 
     /// Block-batched feed: executes up to `room` instructions (bounded by
-    /// the remaining fuel and the current decoded block's end) in one call,
-    /// writing each [`DynInst`] and its decode-time [`RenameClass`] into
-    /// the caller's sequence-indexed rings at `seq & mask`. Returns how
-    /// many records were produced; 0 means the stream is over (fuel
-    /// exhausted, `halt` executed, or an execution error — see
-    /// [`Oracle::error`]), matching the point where [`Iterator::next`]
-    /// would first return `None`.
+    /// the remaining fuel) in one call, writing each [`DynInst`] and its
+    /// decode-time [`RenameClass`] into the caller's sequence-indexed rings
+    /// at `seq & mask`. Returns how many records were produced; 0 means the
+    /// stream is over (fuel exhausted, `halt` executed, or an execution
+    /// error — see [`Oracle::error`]), matching the point where
+    /// [`Iterator::next`] would first return `None`.
     ///
     /// The record stream is bit-identical to the per-instruction iterator;
     /// a caller draining either interface observes the same sequence. The
-    /// per-call dispatch, fuel check, and block-cache revalidation are paid
-    /// once per block instead of once per instruction.
+    /// per-call dispatch and fuel check are paid once per batch, and the
+    /// block lookup once per block, instead of once per instruction.
     pub fn refill(
         &mut self,
         ring: &mut [DynInst],
@@ -122,10 +122,7 @@ impl<'p> Oracle<'p> {
             return 0;
         }
         let cap = room.min(self.fuel);
-        match self
-            .cpu
-            .refill_decoded(&mut self.dec, &mut self.cur, ring, classes, mask, cap)
-        {
+        match self.cpu.refill_decoded(&self.dec, ring, classes, mask, cap) {
             Ok(n) => {
                 self.fuel -= n as u64;
                 n
@@ -146,7 +143,7 @@ impl Iterator for Oracle<'_> {
             return None;
         }
         self.fuel -= 1;
-        match self.cpu.step_decoded(&mut self.dec, &mut self.cur) {
+        match self.cpu.step_decoded(&self.dec) {
             Ok(d) => d,
             Err(e) => {
                 self.error = Some(e);

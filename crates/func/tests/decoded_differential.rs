@@ -1,20 +1,21 @@
-//! Differential property suite for the predecoded basic-block engine: the
-//! block executor (`Cpu::run_decoded` / `Cpu::advance_decoded`), the
-//! observed block executor (`Cpu::advance_observed`) and the decoded
-//! per-instruction stepper (`Cpu::step_decoded`) must be **bit-identical**
-//! to the `Cpu::step` reference semantics — same executed counts, digests,
-//! checksums, instruction mixes, and (for the stepper and the observer)
-//! the same `DynInst` record stream — including across self-modifying-write
-//! invalidations of the block cache.
+//! Differential property suite for the predecoded instruction-table
+//! engine: the block executor (`Cpu::run_decoded` / `Cpu::advance_decoded`),
+//! the observed walk (`Cpu::advance_observed`), the decoded stepper
+//! (`Cpu::step_decoded`) and the batched feed (`Oracle::refill`) must be
+//! **bit-identical** to the `Cpu::step` reference semantics — same executed
+//! counts, digests, checksums, instruction mixes, and (for the stepper, the
+//! observer and the feed) the same `DynInst` record stream — including in
+//! programs that store into their own text address range, which changes
+//! data memory only.
 
 use proptest::prelude::*;
-use reno_func::{BlockCursor, Cpu, DecodedProgram, DynInst, ExecError, ExecObserver, Oracle};
+use reno_func::{Cpu, DecodedProgram, DynInst, ExecError, ExecObserver, Oracle};
 use reno_isa::{Asm, Inst, Opcode, Program, Reg, RenameClass, TEXT_BASE};
 
 /// A random-but-terminating program from a byte recipe: ALU chains, folds,
 /// loads/stores with partial-width overlaps, data-dependent branches, calls
-/// — and, when `smc` is set, stores aimed into the text address range so
-/// the block cache's invalidation path fires mid-run.
+/// — and, when `smc` is set, stores aimed into the text address range,
+/// which must change data memory and nothing else.
 fn gen_program(body: &[u8], iters: u8, smc: bool) -> Program {
     gen_program_ending(body, iters, smc, false)
 }
@@ -73,9 +74,7 @@ fn gen_program_ending(body: &[u8], iters: u8, smc: bool, walk_off: bool) -> Prog
                 // range (every generated program is > 4 instructions, so a
                 // sub-16-byte displacement always hits): architecturally it
                 // only writes data memory (fetch reads the immutable
-                // instruction array), but the decoded engine must
-                // invalidate overlapping cached blocks and still produce
-                // identical results.
+                // instruction array), and every engine must agree.
                 a.st(Reg::T1, Reg::S1, i16::from(b >> 4));
             }
             _ => {
@@ -156,14 +155,14 @@ proptest! {
         let mut reference = Cpu::new(&p);
         let rr = reference.run_program(&p, 1 << 20).unwrap();
         let mut decoded = Cpu::new(&p);
-        let mut dp = DecodedProgram::new(&p);
-        let rd = decoded.run_decoded(&mut dp, 1 << 20).unwrap();
+        let dp = DecodedProgram::new(&p);
+        let rd = decoded.run_decoded(&dp, 1 << 20).unwrap();
         prop_assert_eq!(rr, rd);
         assert_same_state(&reference, &decoded, "run_decoded");
     }
 
     /// Per-record equivalence: `step_decoded` yields the same `DynInst`
-    /// stream as `step`, across block-cache invalidations.
+    /// stream as `step`, text-range stores included.
     #[test]
     fn decoded_stepper_streams_identical_records(
         body in prop::collection::vec(any::<u8>(), 1..20),
@@ -173,20 +172,16 @@ proptest! {
         let p = gen_program(&body, iters, smc);
         let mut reference = Cpu::new(&p);
         let mut decoded = Cpu::new(&p);
-        let mut dp = DecodedProgram::new(&p);
-        let mut cur = BlockCursor::new();
+        let dp = DecodedProgram::new(&p);
         loop {
             let da = reference.step(&p).unwrap();
-            let db = decoded.step_decoded(&mut dp, &mut cur).unwrap();
+            let db = decoded.step_decoded(&dp).unwrap();
             prop_assert_eq!(da, db, "DynInst streams must match record-for-record");
             if da.is_none() {
                 break;
             }
         }
         assert_same_state(&reference, &decoded, "step_decoded");
-        if smc && body.iter().any(|b| b % 11 == 9) {
-            prop_assert!(dp.invalidations() > 0, "the SMC stores must invalidate");
-        }
     }
 
     /// Cut-point equivalence: advancing to an arbitrary dynamic-instruction
@@ -207,19 +202,20 @@ proptest! {
             reference.step(&p).unwrap();
         }
         let mut decoded = Cpu::new(&p);
-        let mut dp = DecodedProgram::new(&p);
-        decoded.advance_decoded(&mut dp, cut).unwrap();
+        let dp = DecodedProgram::new(&p);
+        decoded.advance_decoded(&dp, cut).unwrap();
         assert_same_state(&reference, &decoded, "at the cut");
         reference.run_program(&p, 1 << 20).unwrap();
-        decoded.run_decoded(&mut dp, 1 << 20).unwrap();
+        decoded.run_decoded(&dp, 1 << 20).unwrap();
         assert_same_state(&reference, &decoded, "after resume");
     }
 
     /// Observed-advance equivalence: advancing through `advance_observed` in
-    /// pieces (arbitrary cut points, one cursor carried across calls)
-    /// reports a stream that, expanded, is exactly the `step_decoded`
-    /// record stream — up to the same error when the pc walks off the
-    /// program — and ends in the same machine as `advance_decoded`.
+    /// pieces (arbitrary cut points, each call resuming where the last one
+    /// stopped) reports a stream that, expanded, is exactly the
+    /// `step_decoded` record stream — up to the same error when the pc
+    /// walks off the program — and ends in the same machine as
+    /// `advance_decoded`.
     #[test]
     fn observed_advance_expands_to_the_stepper_stream(
         body in prop::collection::vec(any::<u8>(), 1..20),
@@ -230,11 +226,10 @@ proptest! {
     ) {
         let p = gen_program_ending(&body, iters, smc, walk_off);
         let mut reference = Cpu::new(&p);
-        let mut dp_ref = DecodedProgram::new(&p);
-        let mut cur_ref = BlockCursor::new();
+        let dp_ref = DecodedProgram::new(&p);
         let mut want = Vec::new();
         let want_err: Option<ExecError> = loop {
-            match reference.step_decoded(&mut dp_ref, &mut cur_ref) {
+            match reference.step_decoded(&dp_ref) {
                 Ok(Some(d)) => want.push(Seen::of(d)),
                 Ok(None) => break None,
                 Err(e) => break Some(e),
@@ -245,12 +240,11 @@ proptest! {
         cut_points.sort_unstable();
         cut_points.push(1 << 20);
         let mut observed = Cpu::new(&p);
-        let mut dp = DecodedProgram::new(&p);
-        let mut cur = BlockCursor::new();
+        let dp = DecodedProgram::new(&p);
         let mut rec = Recorder::default();
         let mut err = None;
         for &c in &cut_points {
-            if let Err(e) = observed.advance_observed(&mut dp, &mut cur, c, &mut rec) {
+            if let Err(e) = observed.advance_observed(&dp, c, &mut rec) {
                 err = Some(e);
                 break;
             }
@@ -265,8 +259,8 @@ proptest! {
         assert_same_state(&reference, &observed, "advance_observed vs step_decoded");
 
         let mut block = Cpu::new(&p);
-        let mut dp_block = DecodedProgram::new(&p);
-        let block_err = block.advance_decoded(&mut dp_block, 1 << 20).err();
+        let dp_block = DecodedProgram::new(&p);
+        let block_err = block.advance_decoded(&dp_block, 1 << 20).err();
         prop_assert_eq!(&block_err, &err);
         assert_same_state(&block, &observed, "advance_observed vs advance_decoded");
     }

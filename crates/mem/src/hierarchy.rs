@@ -191,11 +191,6 @@ impl MemHierarchy {
         self.cfg.l1d.hit_latency
     }
 
-    /// I$ hit latency.
-    pub fn l1i_latency(&self) -> u64 {
-        self.cfg.l1i.hit_latency
-    }
-
     /// Per-cache statistics: (I$, D$, L2).
     pub fn cache_stats(&self) -> (CacheStats, CacheStats, CacheStats) {
         (*self.l1i.stats(), *self.l1d.stats(), *self.l2.stats())

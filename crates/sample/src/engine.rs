@@ -1,7 +1,5 @@
 use crate::{ExactSegment, FaultRecovery, IntervalStat, SampleError, SampledResult, SegmentFault};
-use reno_func::{
-    BlockCursor, Checkpoint, Cpu, DecodedProgram, DynInst, ExecError, ExecObserver, Memory,
-};
+use reno_func::{Checkpoint, Cpu, DecodedProgram, DynInst, ExecError, ExecObserver, Memory};
 use reno_isa::Program;
 use reno_mem::MemHierarchy;
 use reno_par::{run_caught, try_par_map, JobPanic};
@@ -687,7 +685,7 @@ fn functional_pass(
     probe: Option<&LengthProbe>,
 ) -> CheckpointPass {
     let (k, m) = segment_shape(sc.period);
-    let mut dp = DecodedProgram::new(program);
+    let dp = DecodedProgram::new(program);
     let mut cpu: Option<Cpu> = None;
     let mut checkpoints = Vec::new();
     let mut error = None;
@@ -703,7 +701,7 @@ fn functional_pass(
             cpu = Some(restored);
         }
         let cpu = cpu.get_or_insert_with(|| Cpu::new(program));
-        if let Err(e) = cpu.advance_decoded(&mut dp, pos) {
+        if let Err(e) = cpu.advance_decoded(&dp, pos) {
             error = Some(e);
             break;
         }
@@ -730,7 +728,7 @@ fn functional_pass(
     }
     let mut cpu = cpu.unwrap_or_else(|| Cpu::new(program));
     if error.is_none() {
-        if let Err(e) = cpu.advance_decoded(&mut dp, sc.max_insts) {
+        if let Err(e) = cpu.advance_decoded(&dp, sc.max_insts) {
             error = Some(e);
         }
     }
@@ -831,8 +829,7 @@ fn simulate_head(program: &Program, cfg: &MachineConfig, sc: &SampleConfig) -> H
 #[allow(clippy::too_many_arguments)]
 fn fast_forward(
     cpu: &mut Cpu,
-    dp: &mut DecodedProgram<'_>,
-    cur: &mut BlockCursor,
+    dp: &DecodedProgram<'_>,
     warm: &mut WarmState,
     warmer: &mut Warmer,
     shadow: &mut Shadow,
@@ -845,14 +842,14 @@ fn fast_forward(
         bounds.cross(at, &shadow.cum);
         let stop = until.min(bounds.next_instant());
         if at < warm_from {
-            cpu.advance_observed(dp, cur, stop.min(warm_from), &mut *shadow)?;
+            cpu.advance_observed(dp, stop.min(warm_from), &mut *shadow)?;
         } else {
             let mut obs = Warming {
                 shadow: &mut *shadow,
                 warmer: &mut *warmer,
                 warm: &mut *warm,
             };
-            cpu.advance_observed(dp, cur, stop, &mut obs)?;
+            cpu.advance_observed(dp, stop, &mut obs)?;
         }
     }
     Ok(())
@@ -902,8 +899,7 @@ fn run_segment(
         None => Cpu::new(program),
     };
     debug_assert_eq!(cpu.executed(), job.start);
-    let mut dp = DecodedProgram::new(program);
-    let mut cur = BlockCursor::new();
+    let dp = DecodedProgram::new(program);
     let mut warmer = Warmer::new(cfg);
     let mut shadow = Shadow::new(cfg);
     let mut bounds = Boundaries::new(grid_start + job.strata.0 * period, period);
@@ -947,8 +943,7 @@ fn run_segment(
         reno_chaos::failpoint!(FP_WARM_REPLAY, job.index);
         if let Err(e) = fast_forward(
             &mut cpu,
-            &mut dp,
-            &mut cur,
+            &dp,
             &mut warm,
             &mut warmer,
             &mut shadow,
@@ -1000,8 +995,7 @@ fn run_segment(
     // snapshot.
     if let Err(e) = fast_forward(
         &mut cpu,
-        &mut dp,
-        &mut cur,
+        &dp,
         &mut warm,
         &mut warmer,
         &mut shadow,
@@ -1835,7 +1829,7 @@ impl LengthProbe {
     fn run(program: &Program, max_insts: u64) -> LengthProbe {
         let mut cpu = Cpu::new(program);
         let base = cpu.mem().clone();
-        let mut dp = DecodedProgram::new(program);
+        let dp = DecodedProgram::new(program);
         let mut spacing = GRID_SPACING;
         let mut grid: Vec<Checkpoint> = Vec::new();
         let mut error = None;
@@ -1848,7 +1842,7 @@ impl LengthProbe {
             if next >= max_insts {
                 break;
             }
-            if let Err(e) = cpu.advance_decoded(&mut dp, next) {
+            if let Err(e) = cpu.advance_decoded(&dp, next) {
                 error = Some(e);
                 break;
             }
@@ -1861,7 +1855,7 @@ impl LengthProbe {
             ));
         }
         if error.is_none() {
-            if let Err(e) = cpu.advance_decoded(&mut dp, max_insts) {
+            if let Err(e) = cpu.advance_decoded(&dp, max_insts) {
                 error = Some(e);
             }
         }
@@ -2332,10 +2326,10 @@ mod tests {
         let ck = probe.grid.last().expect("run spans the grid");
         let mut resumed = ck.restore_with_base(&probe.base);
         let mut straight = Cpu::new(&p);
-        let mut dp = DecodedProgram::new(&p);
+        let dp = DecodedProgram::new(&p);
         let at = resumed.executed() + 12_345;
-        straight.advance_decoded(&mut dp, at).unwrap();
-        resumed.advance_decoded(&mut dp, at).unwrap();
+        straight.advance_decoded(&dp, at).unwrap();
+        resumed.advance_decoded(&dp, at).unwrap();
         assert_eq!(
             resumed.mem().dirty_pages_sorted(),
             straight.mem().dirty_pages_sorted()
